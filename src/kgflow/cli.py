@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditional import make_final_outcome, make_outcome_ensemble
-from .current import current_grid
+from .conditional import make_final_outcome
 from .errors import DomainError
-from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
-from .scenarios import Scenario, build_state, load_scenario
+from .newton_wigner import KernelMode, bessel_k0, density_profile, position_kernel
+from .scenarios import Scenario, build_ensemble, build_state, load_scenario
 from .states import Event
 from .trajectories import Box, conditional_field, segment_stats, standard_field, trace
 from .validation import run_validation
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file or bundled name")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size")
+        p.add_argument("--threads", type=int, default=None, help="trajectory worker pool size")
 
     p_density = sub.add_parser("density", help="sample j0, j1 and the NW density on an x-grid")
     common(p_density)
@@ -93,32 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pool_size(threads) -> int:
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("--threads must be at least 1")
-        return threads
-    return os.cpu_count() or 1
-
-
 def _run_density(args, scenario: Scenario, out: Path) -> int:
     if args.n_x < 2:
         raise ValueError("--n-x must be at least 2")
     state = build_state(scenario)
     xs = np.linspace(scenario.box.x_lo, scenario.box.x_hi, args.n_x)
-    chunks = np.array_split(np.arange(args.n_x), _pool_size(args.threads))
-
-    def work(idx):
-        j0, j1 = current_grid(state, args.t, xs[idx])
-        nw = nw_density_grid(state, xs[idx], args.t)
-        return j0, j1, nw
-
-    with ThreadPoolExecutor(max_workers=_pool_size(args.threads)) as pool:
-        parts = list(pool.map(work, [c for c in chunks if c.size]))
-    j0 = np.concatenate([p[0] for p in parts])
-    j1 = np.concatenate([p[1] for p in parts])
-    nw = np.concatenate([p[2] for p in parts])
-    rows = [(xs[i], j0[i], j1[i], nw[i]) for i in range(args.n_x)]
+    rows = zip(xs, *density_profile(state, args.t, xs))
     _write_csv(out / "density.csv", ["x", "j0", "j1", "nw_density"], rows)
     return 0
 
@@ -149,11 +128,7 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
 
     ensemble_peak = None
     if any(q is not None for _, q in seeds):
-        if scenario.final is None:
-            raise ValueError("per-seed outcomes need a scenario with a final block")
-        f = scenario.final
-        ensemble = make_outcome_ensemble(state, f.T, f.q_lo, f.q_hi, f.n_q)
-        ensemble_peak = max(abs(o.amplitude_fi) for o in ensemble.outcomes)
+        ensemble_peak = float(np.abs(build_ensemble(scenario, state).amplitude_fi).max())
 
     def run_one(item):
         seed, q = item
@@ -170,7 +145,7 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
                 raise ValueError(f"seed {seed} lies outside the conditional box")
         return trace(field, seed, args.step, args.max_steps, box)
 
-    with ThreadPoolExecutor(max_workers=_pool_size(args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
         trajectories = list(pool.map(run_one, seeds))
 
     rows = []
@@ -242,6 +217,8 @@ def _run_kernel(args, scenario: Scenario, out: Path) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be at least 1")
     handlers = {
         "density": _run_density,
         "trajectories": _run_trajectories,

@@ -13,26 +13,29 @@ current exactly; `weighted_integrand` supplies the pole-free product
 j^a(x|f) |<f|i>|^2 used in that average, finite even at outcomes of
 vanishing probability.
 
-Ensemble sums run in a fixed outcome order, so results are reproducible
-under any parallel scheduling of the per-outcome evaluations.
+An ensemble keeps its outcomes' backward amplitudes as the rows of one
+state, so one kernel call evaluates both boundary states for every
+outcome and ensemble sums contract the outcome axis; a lone
+FinalOutcome is the one-row case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .current import current
 from .errors import CausalOrderError, CoverageError, ZeroProbabilityOutcomeError
+from .newton_wigner import nw_density_grid
 from .states import (
     INV_SQRT_2PI,
     Event,
     FourVector,
     SpectralState,
+    _plane_wave_sum,
     _require_same_grid,
-    inner,
-    psi_dpsi_grid,
 )
 
 COVERAGE_TOL = 1e-4
@@ -56,62 +59,74 @@ class FinalOutcome:
 
 @dataclass(frozen=True)
 class OutcomeEnsemble:
-    """Uniform grid of final outcomes with trapezoid quadrature weights."""
+    """Uniform grid of final outcomes with trapezoid quadrature weights.
+
+    backward_state holds the rows <p|f> (n_q, K) and amplitude_fi each
+    <f|i>, so an ensemble stands in for a FinalOutcome in evaluations.
+    """
 
     q_grid: np.ndarray
     weights: np.ndarray
     T: float
-    outcomes: tuple
+    backward_state: SpectralState
+    amplitude_fi: np.ndarray
 
     def __post_init__(self):
-        self.q_grid.setflags(write=False)
-        self.weights.setflags(write=False)
+        for arr in (self.q_grid, self.weights, self.amplitude_fi):
+            arr.setflags(write=False)
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        """One FinalOutcome per q, each viewing its row of backward_state."""
+        b = self.backward_state
+        return tuple(
+            FinalOutcome(float(q), self.T, replace(b, amplitudes=row), complex(amp))
+            for q, row, amp in zip(self.q_grid, b.amplitudes, self.amplitude_fi)
+        )
 
 
-def make_final_outcome(q: float, T: float, template: SpectralState) -> FinalOutcome:
-    """Build the outcome state for position q measured at time T.
+def _outcome_states(template: SpectralState, qs, T: float):
+    """Backward states <p|f> for positions qs at time T, and each <f|i>.
 
-    The backward amplitudes are <p|f> = (2 pi)^-1/2 sqrt(p0)
-    exp(-i (p q - p0 T)); evaluating its position amplitude at t = T
-    gives a packet concentrated near x = q.  amplitude_fi is computed
-    against the template, which is the prepared state.
+    The amplitudes <p|f> = (2 pi)^-1/2 sqrt(p0) exp(-i (p q - p0 T)), one
+    row per q, give position amplitudes at t = T concentrated near x = q.
+    The overlaps <f|i> = sum w conj(<p|f>) a are taken against the
+    template, which is the prepared state.
 
     q is limited to the range the template's momentum grid can resolve:
     the phase p*q must advance by less than pi between adjacent nodes,
     or the quadrature returns aliasing noise instead of amplitudes.
     """
     q_bound = np.pi / float(np.diff(template.momenta).max())
-    if abs(q) > q_bound:
+    q_far = float(np.max(np.abs(qs)))
+    if q_far > q_bound:
         raise ValueError(
-            f"outcome position {q} is beyond the grid's resolvable range "
+            f"outcome position {q_far} is beyond the grid's resolvable range "
             f"|q| <= {q_bound:.1f}"
         )
     p0 = template.energies
-    b = INV_SQRT_2PI * np.sqrt(p0) * np.exp(-1j * (template.momenta * q - p0 * T))
-    backward = SpectralState(
-        mass=template.mass,
-        momenta=np.array(template.momenta),
-        amplitudes=b,
-        weights=np.array(template.weights),
-        energies=np.array(p0),
-    )
-    return FinalOutcome(
-        q_value=float(q),
-        T=float(T),
-        backward_state=backward,
-        amplitude_fi=inner(backward, template),
-    )
+    phase = np.multiply.outer(qs, template.momenta) - p0 * T
+    b = INV_SQRT_2PI * np.sqrt(p0) * np.exp(-1j * phase)
+    overlaps = np.conj(b) @ (template.weights * template.amplitudes)
+    return replace(template, amplitudes=b), overlaps
 
 
-def _bilinear_grid(initial: SpectralState, f: FinalOutcome, t: float, xs):
-    """Both-sided derivative combination E^a = g d^a psi - d^a g psi."""
-    _require_same_grid(initial, f.backward_state)
-    psi_i, di0, di1 = psi_dpsi_grid(initial, t, xs)
-    psi_f, df0, df1 = psi_dpsi_grid(f.backward_state, t, xs)
-    g = np.conj(psi_f)
-    e0 = g * di0 - np.conj(df0) * psi_i
-    e1 = g * di1 - np.conj(df1) * psi_i
-    return e0, e1
+def make_final_outcome(q: float, T: float, template: SpectralState) -> FinalOutcome:
+    """Build the outcome state for position q measured at time T."""
+    backward, amplitude = _outcome_states(template, float(q), T)
+    return FinalOutcome(float(q), float(T), backward, complex(amplitude))
+
+
+def _bilinear_grid(initial: SpectralState, f, t: float, xs):
+    """Both-sided combination E^a = g d^a psi - d^a g psi; one kernel call for all of f."""
+    back = f.backward_state
+    _require_same_grid(initial, back)
+    both = [s._psi_dpsi_columns.reshape(initial.momenta.size, -1, 3) for s in (initial, back)]
+    out = _plane_wave_sum(initial, t, xs, np.concatenate(both, axis=1))  # (..., 1 + n_q, 3)
+    psi, d0, d1 = out[..., :1, 0], out[..., :1, 1], out[..., :1, 2]
+    g, dg0, dg1 = np.conj(out[..., 1:, 0]), np.conj(out[..., 1:, 1]), np.conj(out[..., 1:, 2])
+    shape = np.shape(xs) + back.amplitudes.shape[:-1]
+    return (g * d0 - dg0 * psi).reshape(shape), (g * d1 - dg1 * psi).reshape(shape)
 
 
 def conditional_current_grid(
@@ -153,8 +168,8 @@ def conditional_current(
     return FourVector(float(j0), float(j1))
 
 
-def weighted_integrand_grid(initial: SpectralState, f: FinalOutcome, t: float, xs):
-    """Vectorized pole-free product j^a(x|f) |<f|i>|^2 over positions."""
+def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
+    """Vectorized pole-free j^a(x|f) |<f|i>|^2; an ensemble f adds an outcome axis."""
     if t > f.T:
         raise CausalOrderError(f"evaluation time {t} lies after measurement time {f.T}")
     e0, e1 = _bilinear_grid(initial, f, t, xs)
@@ -195,8 +210,8 @@ def make_outcome_ensemble(
     dq = qs[1] - qs[0]
     weights = np.full(n_q, dq)
     weights[0] = weights[-1] = 0.5 * dq
-    outcomes = tuple(make_final_outcome(q, T, initial) for q in qs)
-    ens = OutcomeEnsemble(q_grid=qs, weights=weights, T=float(T), outcomes=outcomes)
+    backward, overlaps = _outcome_states(initial, qs, T)
+    ens = OutcomeEnsemble(qs, weights, float(T), backward, overlaps)
     total = float(np.dot(weights, outcome_probabilities(initial, ens)))
     if abs(total - 1.0) > coverage_tol:
         raise CoverageError(
@@ -206,8 +221,12 @@ def make_outcome_ensemble(
 
 
 def outcome_probabilities(initial: SpectralState, ens: OutcomeEnsemble):
-    """Born probability density at each ensemble outcome."""
-    return [float(abs(inner(f.backward_state, initial)) ** 2) for f in ens.outcomes]
+    """Born probability density at each ensemble outcome.
+
+    <f|i> at q is the Newton-Wigner amplitude at (q, T): one kernel call.
+    """
+    _require_same_grid(initial, ens.backward_state)
+    return nw_density_grid(initial, ens.q_grid, ens.T)
 
 
 def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> float:
@@ -216,7 +235,7 @@ def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> flo
     Sums the pole-free weighted integrand over the ensemble at each
     event and compares against the unconditional current; by
     completeness of the outcome basis the gap measures quadrature error
-    only.
+    only.  Each event evaluates every outcome in one kernel call.
     """
     rho = outcome_probabilities(initial, ens)
     covered = float(np.dot(ens.weights, rho))
@@ -227,13 +246,8 @@ def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> flo
     num = 0.0
     den = 0.0
     for e in events:
-        acc0 = 0.0
-        acc1 = 0.0
-        for w_q, f in zip(ens.weights, ens.outcomes):
-            w0, w1 = weighted_integrand_grid(initial, f, e.t, e.x)
-            acc0 += w_q * float(w0)
-            acc1 += w_q * float(w1)
+        w0, w1 = weighted_integrand_grid(initial, ens, e.t, e.x)
         direct = current(initial, e)
-        num += (acc0 - direct.v0) ** 2 + (acc1 - direct.v1) ** 2
+        num += (ens.weights @ w0 - direct.v0) ** 2 + (ens.weights @ w1 - direct.v1) ** 2
         den += direct.v0**2 + direct.v1**2
     return float(np.sqrt(num / den))

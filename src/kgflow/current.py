@@ -49,12 +49,14 @@ class DensityInterval:
             raise ValueError("min_j0 must be negative")
 
 
+def _current_from(mass: float, psi, d0, d1):
+    """j^a = Im(conj(d^a psi) psi) / m, elementwise."""
+    return np.imag(np.conj(d0) * psi) / mass, np.imag(np.conj(d1) * psi) / mass
+
+
 def current_grid(state: SpectralState, t: float, xs):
     """Vectorized (j0, j1) over an array of positions at fixed t."""
-    psi, d0, d1 = psi_dpsi_grid(state, t, xs)
-    j0 = np.imag(np.conj(d0) * psi) / state.mass
-    j1 = np.imag(np.conj(d1) * psi) / state.mass
-    return j0, j1
+    return _current_from(state.mass, *psi_dpsi_grid(state, t, xs))
 
 
 def current(state: SpectralState, e: Event) -> FourVector:
@@ -68,6 +70,19 @@ def density(state: SpectralState, e: Event) -> float:
     return current(state, e).v0
 
 
+def central_divergence(j_fn, e: Event, h: float):
+    """Central-difference d_t j0 + d_x j1 at e from j_fn(t, x) -> (j0, j1).
+
+    Second order in h; elementwise in whatever j_fn returns (a batch of
+    currents, one per outcome, is differenced in the same four calls).
+    """
+    j0p, _ = j_fn(e.t + h, e.x)
+    j0m, _ = j_fn(e.t - h, e.x)
+    _, j1p = j_fn(e.t, e.x + h)
+    _, j1m = j_fn(e.t, e.x - h)
+    return (j0p - j0m) / (2 * h) + (j1p - j1m) / (2 * h)
+
+
 def continuity_residual(state: SpectralState, e: Event, h: float) -> float:
     """Central-difference estimate of d_t j0 + d_x j1 at the event.
 
@@ -76,12 +91,7 @@ def continuity_residual(state: SpectralState, e: Event, h: float) -> float:
     """
     if not h > 0:
         raise ValueError("h must be positive")
-    dj0_dt = (
-        density(state, Event(e.t + h, e.x)) - density(state, Event(e.t - h, e.x))
-    ) / (2 * h)
-    j1_plus = current(state, Event(e.t, e.x + h)).v1
-    j1_minus = current(state, Event(e.t, e.x - h)).v1
-    return dj0_dt + (j1_plus - j1_minus) / (2 * h)
+    return float(central_divergence(lambda t, x: current_grid(state, t, x), e, h))
 
 
 def scan_negative_density(

@@ -15,13 +15,14 @@ the exponential integral representation K0(z) = int_0^inf exp(-z cosh u) du.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quad import gauss_panels, gauss_panels_edges
 from .errors import DomainError
-from .states import INV_SQRT_2PI, GridSpec, SpectralState
+from .current import _current_from
+from .states import GridSpec, SpectralState, _plane_wave_sum, psi_dpsi_grid
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,12 @@ def nw_amplitude(state: SpectralState, q: float, t: float) -> complex:
     on each mode, which is exactly what makes the q-basis orthonormal
     under the invariant measure.
     """
-    return complex(nw_amplitude_grid(state, np.asarray([q]), t)[0])
+    return complex(nw_amplitude_grid(state, q, t))
 
 
 def nw_amplitude_grid(state: SpectralState, qs, t: float):
     """Vectorized Newton-Wigner amplitude over an array of q values."""
-    qs = np.asarray(qs, dtype=float)
-    phase = np.exp(
-        -1j * (state.energies * t - np.multiply.outer(qs, state.momenta))
-    )
-    coeff = state.weights * np.sqrt(state.energies) * state.amplitudes * INV_SQRT_2PI
-    return phase @ coeff
+    return _plane_wave_sum(state, t, qs, (np.sqrt(state.energies) * state.amplitudes).T)
 
 
 def nw_density(state: SpectralState, q: float, t: float) -> float:
@@ -73,6 +69,14 @@ def nw_density(state: SpectralState, q: float, t: float) -> float:
 def nw_density_grid(state: SpectralState, qs, t: float):
     """Vectorized Newton-Wigner density over an array of q values."""
     return np.abs(nw_amplitude_grid(state, qs, t)) ** 2
+
+
+def density_profile(state: SpectralState, t: float, xs):
+    """(j0, j1, Newton-Wigner density) over positions from one phase table."""
+    both = np.stack([state.amplitudes, np.sqrt(state.energies) * state.amplitudes])
+    psi, d0, d1 = psi_dpsi_grid(replace(state, amplitudes=both), t, xs)
+    j0, j1 = _current_from(state.mass, psi[..., 0], d0[..., 0], d1[..., 0])
+    return j0, j1, np.abs(psi[..., 1]) ** 2
 
 
 def _kernel_relativistic(mass: float, delta: float) -> float:

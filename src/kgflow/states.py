@@ -9,13 +9,18 @@ already include the 1/p0 factor, so the invariant norm is sum(w |a|^2).
 
 Time evolution is exact in momentum space: amplitudes are static and the
 phase exp(-i p0 t) enters only when a position amplitude is evaluated.
-States are immutable after construction; every evaluation here is a pure
-function of (state, event) and safe to call from any number of threads.
+Every position-space quantity in the package (psi and its derivatives,
+the Newton-Wigner amplitude, the conditional bilinear for one outcome or
+a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
+time t times a coefficient matrix whose columns are built from the
+amplitudes.  States are immutable after construction; every evaluation
+is a pure function of (state, event) and safe to call from any thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +80,8 @@ class SpectralState:
     ----------
     mass : particle mass, > 0.
     momenta : strictly increasing quadrature nodes p_k.
-    amplitudes : complex a(p_k).
+    amplitudes : complex a(p_k) on the last axis; a leading axis stacks
+        states that share the grid (an outcome ensemble's backward states).
     weights : quadrature weights including the invariant 1/p0 factor.
     energies : p0_k = sqrt(p_k^2 + mass^2).
     """
@@ -97,6 +103,16 @@ class SpectralState:
             if not np.all(np.isfinite(arr.view(float))):
                 raise ValueError("state arrays must be finite")
             arr.setflags(write=False)
+
+    @cached_property
+    def _psi_dpsi_columns(self):
+        """Kernel coefficients (K, ..., 3) of psi, d^0 psi, d^1 psi: a, -i p0 a, -i p a.
+
+        Spectral differentiation: d^0 = d/dt and d^1 = -d/dx (metric (+, -)).
+        """
+        a = self.amplitudes
+        cols = np.stack([a, -1j * self.energies * a, -1j * self.momenta * a], axis=-1)
+        return np.ascontiguousarray(np.moveaxis(cols, -2, 0))
 
 
 def _freeze(mass, momenta, amplitudes, weights) -> SpectralState:
@@ -195,41 +211,40 @@ def inner(a: SpectralState, b: SpectralState) -> complex:
     return complex(np.sum(a.weights * np.conj(a.amplitudes) * b.amplitudes))
 
 
-def _mode_table(state: SpectralState, t: float, x):
-    """Per-node contributions w * <x|p> * a at fixed t, broadcast over x."""
-    x = np.asarray(x, dtype=float)
-    phase = np.exp(
-        -1j * (state.energies * t - np.multiply.outer(x, state.momenta))
-    )
-    return (state.weights * state.amplitudes * INV_SQRT_2PI) * phase
+def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
+    """The evaluation kernel: sum_k w_k <x|p_k> c_k at time t for every x.
+
+    coeffs (K, ...) holds mode coefficients on the state's grid; the result
+    has shape xs.shape + coeffs.shape[1:].  The (n_x, K) phase table is built
+    in place once and multiplies the (K, m) coefficient matrix.
+    """
+    table = np.asarray(xs, dtype=float)[..., None] * (1j * state.momenta)
+    table -= 1j * t * state.energies
+    np.exp(table, out=table)
+    matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(state.momenta.size, -1)
+    return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
 
 
 def evaluate_psi(state: SpectralState, e: Event) -> complex:
     """Position amplitude <x|state> at the event, psi(t, x)."""
-    return complex(_mode_table(state, e.t, e.x).sum())
+    return complex(psi_grid(state, e.t, e.x))
 
 
 def evaluate_dpsi(state: SpectralState, e: Event):
-    """Contravariant derivatives (d^0 psi, d^1 psi) at the event.
-
-    Spectral differentiation: each mode picks up -i p0 for d^0 = d/dt
-    and -i p for d^1 = -d/dx (metric (+, -)).
-    """
-    table = _mode_table(state, e.t, e.x)
-    d0 = complex((-1j * state.energies * table).sum())
-    d1 = complex((-1j * state.momenta * table).sum())
-    return d0, d1
+    """Contravariant derivatives (d^0 psi, d^1 psi) at the event."""
+    _, d0, d1 = psi_dpsi_grid(state, e.t, e.x)
+    return complex(d0), complex(d1)
 
 
 def psi_grid(state: SpectralState, t: float, xs):
     """Vectorized psi(t, x) over an array of positions."""
-    return _mode_table(state, t, xs).sum(axis=-1)
+    return _plane_wave_sum(state, t, xs, state.amplitudes.T)
 
 
 def psi_dpsi_grid(state: SpectralState, t: float, xs):
-    """Vectorized (psi, d0 psi, d1 psi) over an array of positions."""
-    table = _mode_table(state, t, xs)
-    psi = table.sum(axis=-1)
-    d0 = (-1j * state.energies * table).sum(axis=-1)
-    d1 = (-1j * state.momenta * table).sum(axis=-1)
-    return psi, d0, d1
+    """Vectorized (psi, d0 psi, d1 psi) over an array of positions.
+
+    A stacked state's rows come out on a trailing axis of each result.
+    """
+    out = _plane_wave_sum(state, t, xs, state._psi_dpsi_columns)
+    return out[..., 0], out[..., 1], out[..., 2]

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._quad import gauss_panels
 from .conditional import decompose_check, outcome_probabilities, weighted_integrand_grid
-from .current import current_grid
+from .current import central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, truncation_defect
@@ -36,39 +36,26 @@ TOLERANCES = {
 OUTCOME_RHO_FLOOR = 1e-4  # outcomes below this fraction of peak rho are skipped
 
 
-def fd_divergence(j_fn, e: Event, h: float) -> float:
-    """Raw central-difference estimate of d_t j0 + d_x j1 at an event."""
-    j0p, _ = j_fn(e.t + h, e.x)
-    j0m, _ = j_fn(e.t - h, e.x)
-    _, j1p = j_fn(e.t, e.x + h)
-    _, j1m = j_fn(e.t, e.x - h)
-    return (j0p - j0m) / (2 * h) + (j1p - j1m) / (2 * h)
-
-
 def richardson_divergence(j_fn, e: Event, h: float):
     """Extrapolated divergence estimate plus the raw residual pair.
 
     Returns (estimate, residual_h, residual_h2); the estimate removes
     the leading h^2 term of the central-difference error.
     """
-    r_h = fd_divergence(j_fn, e, h)
-    r_h2 = fd_divergence(j_fn, e, 0.5 * h)
+    r_h = central_divergence(j_fn, e, h)
+    r_h2 = central_divergence(j_fn, e, 0.5 * h)
     return (4.0 * r_h2 - r_h) / 3.0, r_h, r_h2
 
 
 def _continuity_scan(j_fn, events, length_scale: float, h: float = 1e-3):
-    """Worst extrapolated divergence relative to max|j|/length, plus order ratios."""
-    j_max = max(float(np.hypot(*j_fn(e.t, e.x))) for e in events)
-    worst = 0.0
-    ratios = []
-    for e in events:
-        est, r_h, r_h2 = richardson_divergence(j_fn, e, h)
-        worst = max(worst, abs(est))
-        if abs(r_h2) > 1e-12 * j_max:
-            ratios.append(abs(r_h) / abs(r_h2))
-    rel = worst / (j_max / length_scale)
-    order = float(np.median(ratios)) if ratios else float("nan")
-    return rel, order
+    """Worst entrywise extrapolated divergence over max|j|/length, plus order ratios."""
+    j_max = np.max([np.hypot(*j_fn(e.t, e.x)) for e in events], axis=0)
+    est, r_h, r_h2 = map(np.array, zip(*[richardson_divergence(j_fn, e, h) for e in events]))
+    rel = np.max(np.abs(est), axis=0) / (j_max / length_scale)
+    resolved = np.abs(r_h2) > 1e-12 * j_max
+    ratios = np.abs(r_h[resolved]) / np.abs(r_h2[resolved])
+    order = float(np.median(ratios)) if ratios.size else float("nan")
+    return float(np.max(rel)), order
 
 
 def _event_grid(t_vals, x_vals):
@@ -94,38 +81,28 @@ def run_validation(scenario: Scenario) -> dict:
     box = scenario.box
     length = box.x_hi - box.x_lo
 
-    def j_std(t, x):
-        j0, j1 = current_grid(state, t, np.asarray([x]))
-        return float(j0[0]), float(j1[0])
-
     std_events = _event_grid(
         np.linspace(0.25 * box.t_lo, 0.25 * box.t_hi, 5),
         np.linspace(0.4 * box.x_lo, 0.4 * box.x_hi, 5),
     )
-    rel, order = _continuity_scan(j_std, std_events, length)
+    rel, order = _continuity_scan(lambda t, x: current_grid(state, t, x), std_events, length)
     checks["continuity_standard"] = _entry(rel, "continuity_standard", order_ratio=order)
 
     ensemble = build_ensemble(scenario, state)
-    rho = np.asarray(outcome_probabilities(state, ensemble))
+    rho = outcome_probabilities(state, ensemble)
     keep = np.nonzero(rho >= OUTCOME_RHO_FLOOR * rho.max())[0]
+    a2_keep = np.abs(ensemble.amplitude_fi[keep]) ** 2
     T = ensemble.T
 
-    def j_cond_fn(f):
-        def j_fn(t, x):
-            # pole-free form over the fixed outcome amplitude
-            w0, w1 = weighted_integrand_grid(state, f, t, np.asarray([x]))
-            a2 = abs(f.amplitude_fi) ** 2
-            return float(w0[0]) / a2, float(w1[0]) / a2
-
-        return j_fn
+    def j_cond(t, x):
+        # pole-free form over the fixed outcome amplitudes, kept outcomes only
+        w0, w1 = weighted_integrand_grid(state, ensemble, t, x)
+        return w0[keep] / a2_keep, w1[keep] / a2_keep
 
     cond_events = _event_grid(
         np.array([0.2, 0.5, 0.8]) * T, np.linspace(0.3 * box.x_lo, 0.3 * box.x_hi, 3)
     )
-    worst_cond = 0.0
-    for idx in keep:
-        rel_c, _ = _continuity_scan(j_cond_fn(ensemble.outcomes[idx]), cond_events, length)
-        worst_cond = max(worst_cond, rel_c)
+    worst_cond, _ = _continuity_scan(j_cond, cond_events, length)
     checks["continuity_conditional"] = _entry(
         worst_cond, "continuity_conditional", outcomes_checked=int(keep.size)
     )
@@ -196,14 +173,12 @@ def conditional_normalization_defect(scenario, state, ensemble, keep, times) -> 
     hi = max(hi, float(ensemble.q_grid.max()) + margin)
     panels = max(96, int(np.ceil((hi - lo) / 0.5)))
     xs, w = gauss_panels(lo, hi, panels, 16)
+    a2 = np.abs(ensemble.amplitude_fi[keep]) ** 2
     worst = 0.0
-    for idx in keep:
-        f = ensemble.outcomes[idx]
-        a2 = abs(f.amplitude_fi) ** 2
-        for t in times:
-            w0, _ = weighted_integrand_grid(state, f, float(t), xs)
-            total = float(np.dot(w, w0)) / a2
-            worst = max(worst, abs(total - 1.0))
+    for t in times:
+        w0, _ = weighted_integrand_grid(state, ensemble, float(t), xs)
+        totals = (w @ w0[:, keep]) / a2
+        worst = max(worst, float(np.max(np.abs(totals - 1.0))))
     return worst
 
 

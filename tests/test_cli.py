@@ -186,3 +186,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["warp", "--scenario", "single_rest", "--out", "/tmp/x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["density", "trajectories", "validate", "kernel"])
+def test_threads_below_one_rejected(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", "s1_conditional", "--out", str(tmp_path / "o"),
+              "--threads", "0"])
+    assert exc.value.code == 2

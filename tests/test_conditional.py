@@ -19,7 +19,13 @@ from kgflow import (
     outcome_probabilities,
     weighted_integrand,
 )
-from kgflow.conditional import conditional_current_grid, _bilinear_grid
+from kgflow.conditional import (
+    _bilinear_grid,
+    conditional_current_grid,
+    weighted_integrand_grid,
+)
+from kgflow.newton_wigner import nw_density_grid
+from kgflow.scenarios import build_ensemble, build_state
 from kgflow.states import psi_grid
 from kgflow._quad import gauss_panels
 
@@ -37,9 +43,16 @@ def collapse_outcome(state, T=2.0):
     )
 
 
-def test_outcome_amplitude_equals_nw_amplitude(s1_state):
+def test_outcome_amplitude_equals_nw_amplitude(s1_state, s1_ensemble):
     f = make_final_outcome(1.3, 2.0, s1_state)
     assert abs(f.amplitude_fi - nw_amplitude(s1_state, 1.3, 2.0)) < 1e-10
+    # over the whole ensemble grid: the Born weights are the NW density at T,
+    # and both match the overlaps <f|i> of the backward states themselves
+    rho = outcome_probabilities(s1_state, s1_ensemble)
+    nw = nw_density_grid(s1_state, s1_ensemble.q_grid, s1_ensemble.T)
+    overlaps = [abs(inner(o.backward_state, s1_state)) ** 2 for o in s1_ensemble.outcomes]
+    np.testing.assert_allclose(rho, nw, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rho, overlaps, rtol=1e-12, atol=0)
 
 
 def test_outcome_state_localizes_at_q(s1_state):
@@ -204,6 +217,22 @@ def test_weighted_sum_reality(s1_state, s1_ensemble):
             e0, _ = _bilinear_grid(s1_state, f, e.t, np.asarray([e.x]))
             acc0 += w_q * np.conj(f.amplitude_fi) * complex(e0[0])
         assert abs(acc0.real) < 1e-4 * abs(acc0)
+
+
+def test_ensemble_batch_matches_single_outcomes(s1_conditional_scenario):
+    # every outcome of the s1_conditional ensemble in one batched call,
+    # against the single-outcome path as the reference
+    state = build_state(s1_conditional_scenario)
+    ens = build_ensemble(s1_conditional_scenario, state)
+    xs = np.array([-3.0, 0.0, 2.5])
+    for t in (0.0, 0.8, 1.6):
+        w0, w1 = weighted_integrand_grid(state, ens, t, xs)
+        assert w0.shape == w1.shape == (xs.size, len(ens.outcomes))
+        for k, f in enumerate(ens.outcomes):
+            r0, r1 = weighted_integrand_grid(state, f, t, xs)
+            scale = np.hypot(r0, r1)
+            assert np.all(np.abs(w0[:, k] - r0) <= 1e-12 * scale)
+            assert np.all(np.abs(w1[:, k] - r1) <= 1e-12 * scale)
 
 
 def test_conditional_rejects_mismatched_grids(s1_state, rest_packet):
