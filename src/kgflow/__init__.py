@@ -70,6 +70,7 @@ from .trajectories import (
     segment_stats,
     standard_field,
     trace,
+    trace_many,
 )
 
 __version__ = "0.1.0"
@@ -128,5 +129,6 @@ __all__ = [
     "standard_field",
     "superpose",
     "trace",
+    "trace_many",
     "weighted_integrand",
 ]

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,7 @@ from .errors import DomainError
 from .newton_wigner import KernelMode, bessel_k0, density_profile, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, load_scenario
 from .states import Event
-from .trajectories import Box, conditional_field, segment_stats, standard_field, trace
+from .trajectories import Box, conditional_field, segment_stats, standard_field, trace_many
 from .validation import run_validation
 
 
@@ -56,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file or bundled name")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="trajectory worker pool size")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; has no effect (N >= 1)")
 
     p_density = sub.add_parser("density", help="sample j0, j1 and the NW density on an x-grid")
     common(p_density)
@@ -126,31 +125,25 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
     state = build_state(scenario)
     seeds = _parse_seeds(args.seed, scenario)
 
-    ensemble_peak = None
-    if any(q is not None for _, q in seeds):
-        ensemble_peak = float(np.abs(build_ensemble(scenario, state).amplitude_fi).max())
-
-    def run_one(item):
-        seed, q = item
-        box = scenario.box
-        if q is None:
-            field = standard_field(state)
-        else:
-            outcome = make_final_outcome(q, scenario.final.T, state)
-            field = conditional_field(state, outcome, 1e-8 * ensemble_peak)
+    traced = {}
+    for conditional in (False, True):
+        group = [i for i, (_, q) in enumerate(seeds) if (q is not None) == conditional]
+        if not group:
+            continue
+        field, box = standard_field(state), scenario.box
+        if conditional:
+            peak = float(np.abs(build_ensemble(scenario, state).amplitude_fi).max())
+            outcomes = make_final_outcome([seeds[i][1] for i in group], scenario.final.T, state)
+            field = conditional_field(state, outcomes, 1e-8 * peak)
             # stop before T: RK4 stages reach at most one step past an event
-            box = Box(box.t_lo, min(box.t_hi, scenario.final.T - args.step),
-                      box.x_lo, box.x_hi)
-            if not box.contains(seed):
-                raise ValueError(f"seed {seed} lies outside the conditional box")
-        return trace(field, seed, args.step, args.max_steps, box)
-
-    with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
-        trajectories = list(pool.map(run_one, seeds))
+            box = Box(box.t_lo, min(box.t_hi, scenario.final.T - args.step), box.x_lo, box.x_hi)
+        lines = trace_many(field, [seeds[i][0] for i in group], args.step, args.max_steps, box)
+        traced.update(zip(group, lines))
 
     rows = []
     summaries = []
-    for tid, ((seed, q), traj) in enumerate(zip(seeds, trajectories)):
+    for tid, (seed, q) in enumerate(seeds):
+        traj = traced[tid]
         for k, (e, s) in enumerate(zip(traj.events, traj.arc)):
             cls = traj.classes[k - 1].value if k > 0 else ""
             rows.append((_fmt(tid), _fmt(s), _fmt(e.t), _fmt(e.x), cls))
@@ -158,12 +151,8 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
             stats = segment_stats(traj)
         else:
             # the very first step left the box or hit a node
-            stats = {
-                "fraction_forward": 0.0,
-                "fraction_backward": 0.0,
-                "fraction_spacelike": 0.0,
-                "fraction_lightlike": 0.0,
-            }
+            kinds = ("forward", "backward", "spacelike", "lightlike")
+            stats = {f"fraction_{kind}": 0.0 for kind in kinds}
         summaries.append(
             {
                 "id": tid,

@@ -111,10 +111,13 @@ def _outcome_states(template: SpectralState, qs, T: float):
     return replace(template, amplitudes=b), overlaps
 
 
-def make_final_outcome(q: float, T: float, template: SpectralState) -> FinalOutcome:
-    """Build the outcome state for position q measured at time T."""
-    backward, amplitude = _outcome_states(template, float(q), T)
-    return FinalOutcome(float(q), float(T), backward, complex(amplitude))
+def make_final_outcome(q, T: float, template: SpectralState) -> FinalOutcome:
+    """Build the outcome state for position q measured at time T.
+
+    An array q stacks one backward row per entry, as conditional_field takes.
+    """
+    q = np.asarray(q, dtype=float)[()]  # a float, or the array of outcome positions
+    return FinalOutcome(q, float(T), *_outcome_states(template, q, T))
 
 
 def _bilinear_grid(initial: SpectralState, f, t: float, xs):
@@ -137,13 +140,14 @@ def conditional_current_grid(
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
 ):
     """Vectorized conditional (j0, j1) over positions at fixed t."""
-    if abs(f.amplitude_fi) <= amplitude_floor:
+    amplitude = np.abs(f.amplitude_fi).min()
+    if amplitude <= amplitude_floor:
         raise ZeroProbabilityOutcomeError(
-            f"outcome amplitude {abs(f.amplitude_fi):.3e} at or below floor "
-            f"{amplitude_floor:.3e}"
+            f"outcome amplitude {amplitude:.3e} at or below floor {amplitude_floor:.3e}"
         )
-    if t > f.T:
-        raise CausalOrderError(f"evaluation time {t} lies after measurement time {f.T}")
+    t_last = np.asarray(t).max()
+    if t_last > f.T:
+        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
     e0, e1 = _bilinear_grid(initial, f, t, xs)
     scale = -0.5 / initial.mass
     j0 = scale * np.imag(e0 / f.amplitude_fi)
@@ -170,8 +174,9 @@ def conditional_current(
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
     """Vectorized pole-free j^a(x|f) |<f|i>|^2; an ensemble f adds an outcome axis."""
-    if t > f.T:
-        raise CausalOrderError(f"evaluation time {t} lies after measurement time {f.T}")
+    t_last = np.asarray(t).max()
+    if t_last > f.T:
+        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
     e0, e1 = _bilinear_grid(initial, f, t, xs)
     scale = -0.5 / initial.mass
     amp_bar = np.conj(f.amplitude_fi)

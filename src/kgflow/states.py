@@ -215,11 +215,12 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
     """The evaluation kernel: sum_k w_k <x|p_k> c_k at time t for every x.
 
     coeffs (K, ...) holds mode coefficients on the state's grid; the result
-    has shape xs.shape + coeffs.shape[1:].  The (n_x, K) phase table is built
-    in place once and multiplies the (K, m) coefficient matrix.
+    has shape xs.shape + coeffs.shape[1:]; t is a scalar or broadcasts against
+    xs (one time per position).  The (n_x, K) phase table is built in place
+    once and multiplies the (K, m) coefficient matrix.
     """
     table = np.asarray(xs, dtype=float)[..., None] * (1j * state.momenta)
-    table -= 1j * t * state.energies
+    table -= (1j * np.asarray(t))[..., None] * state.energies
     np.exp(table, out=table)
     matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(state.momenta.size, -1)
     return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])

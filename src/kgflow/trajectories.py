@@ -8,8 +8,10 @@ aligned with the previous tangent, so the traced line passes smoothly
 through density-sign reversals, where the field direction swings
 through spacelike orientations.
 
-Each trace depends only on its (pure) field handle, so bundles of seeds
-can run in parallel.
+All seeds of a call advance in lockstep, one field call per RK4 stage.
+So a field handle maps an Event whose t and x are equal-length arrays to
+a FourVector evaluated elementwise, row i belonging to seed i; scalar
+components broadcast, so a constant field may return plain floats.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NodeError
-from .current import CausalClass, classify, current
-from .conditional import FinalOutcome, conditional_current
+from .current import CausalClass, classify, current_grid
+from .conditional import FinalOutcome, conditional_current_grid
 from .states import Event, FourVector, SpectralState
 
 FieldHandle = Callable[[Event], FourVector]
@@ -68,7 +70,7 @@ def standard_field(state: SpectralState) -> FieldHandle:
     """Field handle for the unconditional current of a state."""
 
     def field(e: Event) -> FourVector:
-        return current(state, e)
+        return FourVector(*current_grid(state, e.t, e.x))
 
     return field
 
@@ -76,10 +78,17 @@ def standard_field(state: SpectralState) -> FieldHandle:
 def conditional_field(
     initial: SpectralState, outcome: FinalOutcome, amplitude_floor: float = 1e-8
 ) -> FieldHandle:
-    """Field handle for the current conditioned on a final outcome."""
+    """Field handle for the current conditioned on a final outcome.
+
+    A stacked outcome (make_final_outcome with an array of q) conditions row
+    i of each event on outcome i, the diagonal of one ensemble evaluation.
+    """
 
     def field(e: Event) -> FourVector:
-        return conditional_current(initial, outcome, e, amplitude_floor)
+        j0, j1 = conditional_current_grid(initial, outcome, e.t, e.x, amplitude_floor)
+        if outcome.backward_state.amplitudes.ndim > 1:
+            j0, j1 = np.diagonal(j0), np.diagonal(j1)
+        return FourVector(j0, j1)
 
     return field
 
@@ -92,93 +101,102 @@ def trace(
     box: Box,
     node_floor: float | None = None,
 ) -> Trajectory:
-    """Fourth-order Runge-Kutta integration of de/ds = j(e)/|j(e)|.
+    """The current line from one seed: trace_many with a batch of one."""
+    return trace_many(field, [seed], step, max_steps, box, node_floor)[0]
+
+
+def trace_many(
+    field: FieldHandle,
+    seeds,
+    step: float,
+    max_steps: int,
+    box: Box,
+    node_floor: float | None = None,
+) -> list[Trajectory]:
+    """Fourth-order Runge-Kutta integration of de/ds = j(e)/|j(e)| from every seed.
 
     The normalization uses the Euclidean norm of (j0, j1): the Minkowski
     norm vanishes on lightlike stretches, exactly where the interesting
     turning happens.  Stage directions are sign-aligned with the
     incoming tangent so the field orientation never flips inside a
-    step.  Stops on box exit, node (|j| below node_floor, default
-    1e-10 of the field scale at the seed), or after max_steps.
+    step.  A line stops on box exit, node (|j| below node_floor, default
+    1e-10 of the field scale at its seed), or after max_steps.
+
+    All lines advance in lockstep, one field call per stage for every seed;
+    a stopped line keeps its row, frozen, and its stage values are discarded.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError("step must be positive and finite")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if not box.contains(seed):
-        raise ValueError(f"seed {seed} lies outside the box")
+    for seed in seeds:
+        if not box.contains(seed):
+            raise ValueError(f"seed {seed} lies outside the box")
 
-    j_seed = field(seed)
-    n_seed = j_seed.euclidean_norm()
-    floor = 1e-10 * n_seed if node_floor is None else float(node_floor)
-    if n_seed <= floor or n_seed == 0.0:
-        raise NodeError(f"field magnitude {n_seed:.3e} at the seed is below the floor")
+    def evaluate(p):
+        v = field(Event(p[:, 0], p[:, 1]))
+        j = np.empty_like(p)
+        j[:, 0], j[:, 1] = v.v0, v.v1
+        return j
 
-    def direction(e: Event, ref: np.ndarray, cached: FourVector | None = None):
-        j = cached if cached is not None else field(e)
-        n = np.hypot(j.v0, j.v1)
-        if n <= floor:
-            return None, j
-        d = np.array([j.v0 / n, j.v1 / n])
-        if float(d @ ref) < 0.0:
-            d = -d
-        return d, j
+    def direction(j, ref):
+        # unit rows sign-aligned with ref, zero rows where |j| is at the floor
+        n = np.hypot(j[:, 0], j[:, 1])
+        ok = n > floor
+        d = j / np.where(ok, n, np.inf)[:, None]
+        return np.where(((d * ref).sum(axis=1) < 0.0)[:, None], -d, d), ok
 
-    events = [seed]
-    arc = [0.0]
-    classes: list[CausalClass] = []
-    densities = [j_seed.v0]
-    tangent = np.array([j_seed.v0 / n_seed, j_seed.v1 / n_seed])
-    stop_reason = "max-steps"
-    cached = j_seed
+    pos = np.array([(s.t, s.x) for s in seeds], dtype=float).reshape(-1, 2)
+    j = evaluate(pos)
+    scale = np.hypot(j[:, 0], j[:, 1])
+    floor = 1e-10 * scale if node_floor is None else float(node_floor)
+    if np.any((scale <= floor) | (scale == 0.0)):
+        raise NodeError(f"field magnitude {scale.min():.3e} at the seed is below the floor")
+    tangent = j / scale[:, None]
+    lo, hi = np.array([box.t_lo, box.x_lo]), np.array([box.t_hi, box.x_hi])
+    live = np.ones(len(pos), dtype=bool)
+    n_steps = np.full(len(pos), max_steps)
+    stop = np.full(len(pos), "max-steps", dtype=object)
+    path, densities, deltas = [pos], [j[:, 0]], []
 
-    h = step
-    for _ in range(max_steps):
-        e = events[-1]
-        k1, _ = direction(e, tangent, cached)
-        k2 = k3 = k4 = None
-        if k1 is not None:
-            k2, _ = direction(
-                Event(e.t + 0.5 * h * k1[0], e.x + 0.5 * h * k1[1]), tangent
-            )
-        if k2 is not None:
-            k3, _ = direction(
-                Event(e.t + 0.5 * h * k2[0], e.x + 0.5 * h * k2[1]), tangent
-            )
-        if k3 is not None:
-            k4, _ = direction(Event(e.t + h * k3[0], e.x + h * k3[1]), tangent)
-        if k4 is None:
-            stop_reason = "node"
-            break
-        delta = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        norm = float(np.hypot(delta[0], delta[1]))
-        if norm == 0.0:
-            # stages cancelled pairwise; only possible hard against a node
-            stop_reason = "node"
-            break
-        e_new = Event(e.t + delta[0], e.x + delta[1])
-        if not box.contains(e_new):
-            stop_reason = "box-exit"
-            break
-        j_new = field(e_new)
-        events.append(e_new)
-        arc.append(arc[-1] + norm)
-        classes.append(classify(FourVector(float(delta[0]), float(delta[1]))))
-        densities.append(j_new.v0)
-        tangent = delta / norm
-        cached = j_new
+    for k in range(max_steps):
+        k1, ok1 = direction(j, tangent)
+        k2, ok2 = direction(evaluate(pos + 0.5 * step * k1), tangent)
+        k3, ok3 = direction(evaluate(pos + 0.5 * step * k2), tangent)
+        k4, ok4 = direction(evaluate(pos + step * k3), tangent)
+        delta = (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        deltas.append(delta)
+        norm = np.hypot(delta[:, 0], delta[:, 1])
+        new = pos + delta
+        # a zero delta means the stages cancelled pairwise; only possible hard against a node
+        ok = ok1 & ok2 & ok3 & ok4 & (norm > 0.0)
+        ended = live & ~(ok & ((lo <= new) & (new <= hi)).all(axis=1))
+        if ended.any():
+            stop[ended] = np.where(ok[ended], "box-exit", "node")
+            n_steps[ended] = k
+            live &= ~ended
+            if not live.any():
+                break
+        pos = np.where(live[:, None], new, pos)
+        j = evaluate(pos)
+        np.divide(delta, norm[:, None], out=tangent, where=live[:, None])
+        path.append(pos)
+        densities.append(j[:, 0])
 
-    reversals = tuple(
-        k for k in range(len(densities) - 1) if densities[k] * densities[k + 1] < 0
-    )
-    return Trajectory(
-        events=tuple(events),
-        arc=tuple(arc),
-        classes=tuple(classes),
-        densities=tuple(densities),
-        reversals=reversals,
-        stop_reason=stop_reason,
-    )
+    path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
+    arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
+    flips = densities[:-1] * densities[1:] < 0
+    return [
+        Trajectory(
+            events=tuple(Event(t, x) for t, x in path[: n + 1, i].tolist()),
+            arc=(0.0, *arcs[:n, i].tolist()),
+            classes=tuple(classify(FourVector(a, b)) for a, b in deltas[:n, i].tolist()),
+            densities=tuple(densities[: n + 1, i].tolist()),
+            reversals=tuple(np.flatnonzero(flips[:n, i]).tolist()),
+            stop_reason=str(stop[i]),
+        )
+        for i, n in enumerate(n_steps.tolist())
+    ]
 
 
 def segment_stats(traj: Trajectory) -> dict:
@@ -192,12 +210,7 @@ def segment_stats(traj: Trajectory) -> dict:
         raise ValueError("trajectory has no steps")
     lengths = np.diff(np.asarray(traj.arc))
     total = float(lengths.sum())
-    acc = {
-        CausalClass.TIMELIKE_FORWARD: 0.0,
-        CausalClass.TIMELIKE_BACKWARD: 0.0,
-        CausalClass.SPACELIKE: 0.0,
-        CausalClass.LIGHTLIKE: 0.0,
-    }
+    acc = dict.fromkeys(CausalClass, 0.0)
     for cls, ds in zip(traj.classes, lengths):
         acc[cls] += float(ds)
     return {
@@ -218,23 +231,13 @@ def detect_closed(traj: Trajectory, tol: float):
     """
     if len(traj.events) < 3:
         return None
-    seed = traj.events[0]
-    first = traj.events[1]
-    d0 = np.array([first.t - seed.t, first.x - seed.x])
-    d0 /= np.hypot(*d0)
-    mean_step = traj.arc[-1] / (len(traj.events) - 1)
-    skip = max(4.0 * tol, 5.0 * mean_step)
-    for k in range(1, len(traj.events)):
-        if traj.arc[k] < skip:
-            continue
-        e = traj.events[k]
-        if np.hypot(e.t - seed.t, e.x - seed.x) > tol:
-            continue
-        prev = traj.events[k - 1]
-        d = np.array([e.t - prev.t, e.x - prev.x])
-        norm = np.hypot(*d)
-        if norm == 0.0:
-            continue
-        if float((d / norm) @ d0) >= np.cos(np.pi / 4):
-            return k
-    return None
+    p = np.array([(e.t, e.x) for e in traj.events])
+    d = np.diff(p, axis=0)
+    norm = np.hypot(d[:, 0], d[:, 1])
+    arc = np.asarray(traj.arc)
+    skip = max(4.0 * tol, 5.0 * arc[-1] / (len(p) - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (d / norm[:, None]) @ (d[0] / norm[0])
+    near = np.hypot(p[1:, 0] - p[0, 0], p[1:, 1] - p[0, 1]) <= tol
+    hit = (arc[1:] >= skip) & near & (cos >= np.cos(np.pi / 4))
+    return int(np.argmax(hit)) + 1 if hit.any() else None

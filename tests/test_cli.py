@@ -47,12 +47,19 @@ def test_density_single_packet_positive(tmp_path):
     assert all(float(r["j0"]) > 0 for r in rows)
 
 
-def test_density_deterministic_across_threads(tmp_path):
+@pytest.mark.parametrize("args, files", [
+    (["density", "--scenario", "single_rest", "--n-x", "101"], ["density.csv"]),
+    (["trajectories", "--scenario", "s1_conditional", "--max-steps", "100",
+      "--seed=0,-1", "--seed=0.5,2", "--seed=0,-1,-2", "--seed=-1,2,4"],
+     ["trajectories.csv", "trajectories_summary.json"]),
+], ids=["density", "trajectories"])
+def test_density_deterministic_across_threads(tmp_path, args, files):
+    # --threads is accepted and has no effect
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["density", "--scenario", "single_rest", "--n-x", "101"]
     assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
     assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
-    assert (out1 / "density.csv").read_bytes() == (out2 / "density.csv").read_bytes()
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_trajectories_summary(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from kgflow import (
     Box,
     CausalClass,
+    CausalOrderError,
     Event,
     FourVector,
     GridSpec,
@@ -13,9 +14,10 @@ from kgflow import (
     segment_stats,
     standard_field,
     trace,
+    trace_many,
 )
 from kgflow.trajectories import conditional_field
-from kgflow.conditional import make_final_outcome
+from kgflow.conditional import conditional_current_grid, make_final_outcome
 
 from conftest import max_turn_deg
 
@@ -148,6 +150,8 @@ def test_trace_argument_errors(s1_field, s1_scenario):
         trace(s1_field, Event(0.0, 0.0), -0.1, 100, s1_scenario.box)
     with pytest.raises(ValueError):
         trace(s1_field, Event(0.0, 0.0), 0.1, 0, s1_scenario.box)
+    with pytest.raises(ValueError):
+        trace(s1_field, Event(0.0, 0.0), float("inf"), 100, s1_scenario.box)
 
 
 def test_node_error_at_dead_seed():
@@ -191,3 +195,53 @@ def test_conditional_field_traces(s1_state):
     traj = trace(field, Event(0.0, 0.0), 0.01, 500, Box(-1.0, 1.9, -10.0, 10.0))
     assert len(traj.events) > 10
     assert sum(segment_stats(traj).values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def assert_same_line(batched, alone):
+    assert len(batched.events) == len(alone.events)
+    assert batched.stop_reason == alone.stop_reason
+    assert batched.reversals == alone.reversals
+    assert batched.classes == alone.classes
+    events = [[(e.t, e.x) for e in line.events] for line in (batched, alone)]
+    np.testing.assert_allclose(*events, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(batched.arc, alone.arc, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(batched.densities, alone.densities, rtol=0.0, atol=1e-12)
+
+
+def test_trace_many_matches_trace(s1_field, bundled_states):
+    # a tight box and few steps, so box-exit and max-steps lines share a batch
+    box = Box(-1.0, 1.0, -3.0, 3.0)
+    seeds = [Event(t, x) for t in (-0.6, 0.6) for x in np.linspace(-2.5, 2.5, 5)]
+    lines = trace_many(s1_field, seeds, 0.05, 25, box)
+    assert {line.stop_reason for line in lines} == {"box-exit", "max-steps"}
+    assert any(line.reversals for line in lines)
+    for seed, line in zip(seeds, lines):
+        assert_same_line(line, trace(s1_field, seed, 0.05, 25, box))
+
+    def shrinking(e):
+        # elementwise; the field dies at x = 2, where the floor stops a line
+        g = np.maximum(2.0 - e.x, 0.0)
+        return FourVector(g, 0.5 * g)
+
+    box = Box(-1.0, 3.0, -5.0, 5.0)
+    seeds = [Event(0.0, 1.5), Event(2.5, 0.0), Event(0.0, -4.0)]
+    lines = trace_many(shrinking, seeds, 0.05, 200, box, node_floor=1e-3)
+    assert [line.stop_reason for line in lines] == ["node", "box-exit", "box-exit"]
+    for seed, line in zip(seeds, lines):
+        assert_same_line(line, trace(shrinking, seed, 0.05, 200, box, node_floor=1e-3))
+
+    # seeds with distinct outcomes q trace in one batch through a stacked outcome
+    state = bundled_states["s1_conditional"]
+    qs = np.array([-2.0, 1.0, 4.0])
+    seeds = [Event(0.0, -1.0), Event(0.5, 0.5), Event(-1.0, 2.0)]
+    box = Box(-2.0, 2.0 - 0.02, -10.0, 10.0)
+    stacked = conditional_field(state, make_final_outcome(qs, 2.0, state))
+    lines = trace_many(stacked, seeds, 0.02, 150, box)
+    for q, seed, line in zip(qs, seeds, lines):
+        alone = conditional_field(state, make_final_outcome(q, 2.0, state))
+        assert_same_line(line, trace(alone, seed, 0.02, 150, box))
+
+    with pytest.raises(CausalOrderError):
+        conditional_current_grid(
+            state, make_final_outcome(1.0, 2.0, state), np.array([0.0, 2.5]), np.zeros(2)
+        )
