@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_panels(lo: float, hi: float, panels: int, nodes_per_panel: int):
@@ -23,7 +34,7 @@ def gauss_panels_edges(edges, nodes_per_panel: int):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("panel edges must be strictly increasing")
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    base_x, base_w = _legendre_rule(nodes_per_panel)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()

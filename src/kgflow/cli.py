@@ -21,21 +21,24 @@ from .conditional import make_final_outcome
 from .errors import DomainError
 from .newton_wigner import KernelMode, bessel_k0, density_profile, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, load_scenario
-from .states import Event
+from .states import Event, uniform_lattice
 from .trajectories import Box, conditional_field, segment_stats, standard_field, trace_many
 from .validation import run_validation
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def _write_csv(path: Path, header, rows):
+    """One %-format per row: strings pass through, everything else is %.17g."""
+    formats = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-            fh.write("\n")
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(
+                    "%s" if issubclass(kind, str) else "%.17g" for kind in kinds
+                ) + "\n"
+            fh.write(fmt % tuple(row))
 
 
 def _write_json(path: Path, payload):
@@ -95,8 +98,10 @@ def _run_density(args, scenario: Scenario, out: Path) -> int:
     if args.n_x < 2:
         raise ValueError("--n-x must be at least 2")
     state = build_state(scenario)
-    xs = np.linspace(scenario.box.x_lo, scenario.box.x_hi, args.n_x)
-    rows = zip(xs, *density_profile(state, args.t, xs))
+    lo, hi = scenario.box.x_lo, scenario.box.x_hi
+    profile = density_profile(state, args.t, uniform_lattice(lo, hi, args.n_x))
+    columns = (np.linspace(lo, hi, args.n_x), *profile)
+    rows = zip(*(c.tolist() for c in columns))
     _write_csv(out / "density.csv", ["x", "j0", "j1", "nw_density"], rows)
     return 0
 
@@ -146,7 +151,7 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
         traj = traced[tid]
         for k, (e, s) in enumerate(zip(traj.events, traj.arc)):
             cls = traj.classes[k - 1].value if k > 0 else ""
-            rows.append((_fmt(tid), _fmt(s), _fmt(e.t), _fmt(e.x), cls))
+            rows.append((tid, s, e.t, e.x, cls))
         if len(traj.events) > 1:
             stats = segment_stats(traj)
         else:

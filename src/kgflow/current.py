@@ -55,7 +55,7 @@ def _current_from(mass: float, psi, d0, d1):
 
 
 def current_grid(state: SpectralState, t: float, xs):
-    """Vectorized (j0, j1) over an array of positions at fixed t."""
+    """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t."""
     return _current_from(state.mass, *psi_dpsi_grid(state, t, xs))
 
 
@@ -134,31 +134,33 @@ def scan_negative_density(
     return intervals
 
 
-def _default_tol(v: FourVector) -> float:
-    return 1e-9 * (1.0 + v.euclidean_norm())
+# CausalClass in definition order: forward, backward, spacelike, lightlike, null
+_CLASS_CODES = np.array(list(CausalClass), dtype=object)
 
 
-def classify(v: FourVector, tol: float | None = None) -> CausalClass:
-    """Causal character of v with a scale-aware lightlike band.
+def classify_many(v0, v1, tol=None):
+    """Causal character of every (v0[i], v1[i]) with a scale-aware lightlike band.
 
     timelike-forward/backward for v.v > tol^2 split on sign(v0),
     spacelike for v.v < -tol^2, lightlike within the band when the
-    vector itself is not negligible, null-vector otherwise.
+    vector itself is not negligible, null-vector otherwise.  tol defaults
+    to 1e-9 (1 + |v|) per vector.  Returns an object array of CausalClass
+    shaped like the broadcast inputs (one CausalClass for scalars).
     """
+    v0, v1 = np.asarray(v0, dtype=float), np.asarray(v1, dtype=float)
+    norm = np.hypot(v0, v1)
     if tol is None:
-        tol = _default_tol(v)
-    if tol < 0:
+        tol = 1e-9 * (1.0 + norm)
+    elif np.any(np.asarray(tol) < 0):
         raise ValueError("tol must be nonnegative")
-    s = v.minkowski_sq()
-    if s > tol * tol:
-        return (
-            CausalClass.TIMELIKE_FORWARD if v.v0 > 0 else CausalClass.TIMELIKE_BACKWARD
-        )
-    if s < -tol * tol:
-        return CausalClass.SPACELIKE
-    if v.euclidean_norm() > tol:
-        return CausalClass.LIGHTLIKE
-    return CausalClass.NULL_VECTOR
+    s, band = v0 * v0 - v1 * v1, tol * tol
+    codes = np.select([s > band, s < -band, norm > tol], [np.where(v0 > 0, 0, 1), 2, 3], 4)
+    return _CLASS_CODES[codes]
+
+
+def classify(v: FourVector, tol: float | None = None) -> CausalClass:
+    """Causal character of one 4-vector: classify_many on a single pair."""
+    return classify_many(v.v0, v.v1, tol)
 
 
 def boost(v: FourVector, velocity: float) -> FourVector:

@@ -57,7 +57,7 @@ def nw_amplitude(state: SpectralState, q: float, t: float) -> complex:
 
 
 def nw_amplitude_grid(state: SpectralState, qs, t: float):
-    """Vectorized Newton-Wigner amplitude over an array of q values."""
+    """Vectorized Newton-Wigner amplitude over an array of q values or a Lattice."""
     return _plane_wave_sum(state, t, qs, (np.sqrt(state.energies) * state.amplitudes).T)
 
 
@@ -72,7 +72,11 @@ def nw_density_grid(state: SpectralState, qs, t: float):
 
 
 def density_profile(state: SpectralState, t: float, xs):
-    """(j0, j1, Newton-Wigner density) over positions from one phase table."""
+    """(j0, j1, Newton-Wigner density) over positions from one kernel call.
+
+    xs is an array of positions or a Lattice; uniform_lattice(lo, hi, n)
+    gives np.linspace(lo, hi, n) without building an n x K phase table.
+    """
     both = np.stack([state.amplitudes, np.sqrt(state.energies) * state.amplitudes])
     psi, d0, d1 = psi_dpsi_grid(replace(state, amplitudes=both), t, xs)
     j0, j1 = _current_from(state.mass, psi[..., 0], d0[..., 0], d1[..., 0])

@@ -19,8 +19,10 @@ is a pure function of (state, event) and safe to call from any thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,6 +213,19 @@ def inner(a: SpectralState, b: SpectralState) -> complex:
     return complex(np.sum(a.weights * np.conj(a.amplitudes) * b.amplitudes))
 
 
+class Lattice(NamedTuple):
+    """The first n positions of coarse[:, None] + fine[None, :], flattened row-major."""
+
+    coarse: np.ndarray
+    fine: np.ndarray
+    n: int
+
+    @property
+    def size(self) -> int:
+        """Number of positions, which is what np.size reports for a Lattice."""
+        return self.n
+
+
 def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
     """The evaluation kernel: sum_k w_k <x|p_k> c_k at time t for every x.
 
@@ -218,12 +233,46 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
     has shape xs.shape + coeffs.shape[1:]; t is a scalar or broadcasts against
     xs (one time per position).  The (n_x, K) phase table is built in place
     once and multiplies the (K, m) coefficient matrix.
+
+    xs may instead be a Lattice at a scalar t; the result then has n rows.
+    exp(i p (c + f)) = exp(i p c) exp(i p f) splits the table into an
+    (n_a, K) coarse table, folded into the coefficients (n_a K m multiplies),
+    and an (n_b, K) fine table times the folded matrix: (n_a + n_b) K
+    exponentials instead of n_a n_b K, and no n x K table.  The fold pays
+    while the coefficient width m stays below n_b.
     """
+    k = state.momenta.size
+    matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(k, -1)
+    if isinstance(xs, Lattice):
+        coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
+        if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
+            raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
+        table = coarse[:, None] * (1j * state.momenta)
+        table -= (1j * float(t)) * state.energies
+        np.exp(table, out=table)
+        folded = table.T[:, :, None] * matrix[:, None, :]  # (K, n_a, m)
+        out = np.exp(fine[:, None] * (1j * state.momenta)) @ folded.reshape(k, -1)
+        out = out.reshape(fine.size, coarse.size, -1).transpose(1, 0, 2)
+        return out.reshape(-1, matrix.shape[1])[: xs.n].reshape((xs.n,) + coeffs.shape[1:])
     table = np.asarray(xs, dtype=float)[..., None] * (1j * state.momenta)
     table -= (1j * np.asarray(t))[..., None] * state.energies
     np.exp(table, out=table)
-    matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(state.momenta.size, -1)
     return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
+
+
+def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:
+    """The positions np.linspace(lo, hi, n) as a Lattice, to a few ulps.
+
+    ceil(sqrt(n)) fine offsets and ceil(n / n_fine) coarse rows at
+    linspace's own points; the kernel evaluates the last row's surplus
+    points past hi and drops them.
+    """
+    if n < 2:
+        raise ValueError("a uniform lattice needs at least 2 points")
+    n_b = math.isqrt(n - 1) + 1
+    n_a = -(-n // n_b)
+    step = (hi - lo) / (n - 1)
+    return Lattice(np.arange(0, n_a * n_b, n_b) * step + lo, np.arange(n_b) * step, n)
 
 
 def evaluate_psi(state: SpectralState, e: Event) -> complex:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NodeError
-from .current import CausalClass, classify, current_grid
+from .current import CausalClass, classify_many, current_grid
 from .conditional import FinalOutcome, conditional_current_grid
 from .states import Event, FourVector, SpectralState
 
@@ -186,11 +186,12 @@ def trace_many(
     path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
     arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
     flips = densities[:-1] * densities[1:] < 0
+    classes = classify_many(deltas[..., 0], deltas[..., 1])
     return [
         Trajectory(
             events=tuple(Event(t, x) for t, x in path[: n + 1, i].tolist()),
             arc=(0.0, *arcs[:n, i].tolist()),
-            classes=tuple(classify(FourVector(a, b)) for a, b in deltas[:n, i].tolist()),
+            classes=tuple(classes[:n, i]),
             densities=tuple(densities[: n + 1, i].tolist()),
             reversals=tuple(np.flatnonzero(flips[:n, i]).tolist()),
             stop_reason=str(stop[i]),

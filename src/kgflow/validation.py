@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quad import gauss_panels
+from ._quad import _legendre_rule, gauss_panels
 from .conditional import decompose_check, outcome_probabilities, weighted_integrand_grid
 from .current import central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, truncation_defect
-from .states import Event
+from .states import Event, Lattice
 
 TOLERANCES = {
     "momentum_truncation": 1e-8,
@@ -182,12 +182,25 @@ def conditional_normalization_defect(scenario, state, ensemble, keep, times) -> 
     return worst
 
 
+def _gauss_lattice(lo: float, hi: float, panels: int, nodes_per_panel: int):
+    """gauss_panels(lo, hi, panels, nodes_per_panel) as (Lattice, w).
+
+    Equal panels share one half-width h, so the nodes are the panel
+    midpoints plus the common offsets h x_i, the kernel's Lattice form;
+    nodes and weights match gauss_panels' to a few ulps.
+    """
+    base_x, base_w = _legendre_rule(nodes_per_panel)
+    half = 0.5 * (hi - lo) / panels
+    mid = lo + half * np.arange(1, 2 * panels, 2)
+    return Lattice(mid, half * base_x, panels * nodes_per_panel), np.tile(half * base_w, panels)
+
+
 def nw_parseval_defect(scenario, state, times) -> float:
     """Worst |integral of Newton-Wigner density - 1| over the given times."""
     t_max = max(abs(float(t)) for t in times)
     lo, hi = _support_bounds(scenario, t_max, margin=14.0 / scenario.mass)
     panels = max(128, int(np.ceil((hi - lo) / 0.4)))
-    qs, w = gauss_panels(lo, hi, panels, 16)
+    qs, w = _gauss_lattice(lo, hi, panels, 16)
     worst = 0.0
     for t in times:
         total = float(np.dot(w, nw_density_grid(state, qs, float(t))))

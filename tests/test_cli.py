@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from kgflow.cli import main
+from kgflow.cli import _write_csv, main
+from kgflow.current import current_grid
+from kgflow.newton_wigner import nw_density_grid
 
 TRUNCATED = {
     "name": "truncated_probe",
@@ -201,3 +203,39 @@ def test_threads_below_one_rejected(tmp_path, command):
         main([command, "--scenario", "s1_conditional", "--out", str(tmp_path / "o"),
               "--threads", "0"])
     assert exc.value.code == 2
+
+
+def test_write_csv_matches_per_cell_join(tmp_path):
+    rows = [
+        (0.1, -0.0, float("inf"), float("-inf"), float("nan"), ""),
+        (np.float64(1 / 3), 7, np.int64(-2), True, 1e-300, "lightlike"),
+        ("", 2.5e17, np.float32(0.1), "timelike-forward", 5e-324, "x,y"),
+        (3, 1.0000000000000002, -1.7976931348623157e308, "", 1e22, ""),
+        (0.1, -0.0, float("inf"), float("-inf"), float("nan"), "null-vector"),
+    ]
+    header = ["a", "b", "c", "d", "e", "f"]
+    _write_csv(tmp_path / "new.csv", header, iter(rows))
+    # the per-cell writer the row formats replace
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
+        for row in rows
+    )
+    assert (tmp_path / "new.csv").read_bytes() == text.encode("utf-8")
+
+
+def test_density_csv_matches_grid_evaluation(tmp_path, s1_scenario, bundled_states):
+    out = tmp_path / "out"
+    box = s1_scenario.box
+    assert main(["density", "--scenario", s1_scenario.name, "--out", str(out),
+                 "--t=2.5", "--n-x", "20001"]) == 0
+    lines = (out / "density.csv").read_text(encoding="utf-8").splitlines()[1:]
+    xs = np.linspace(box.x_lo, box.x_hi, 20001)
+    assert [line.split(",")[0] for line in lines] == ["%.17g" % x for x in xs]
+    table = np.array([[float(c) for c in line.split(",")] for line in lines])
+    rows = np.r_[0:20001:997, 20000]
+    state = bundled_states[s1_scenario.name]
+    j0, j1 = current_grid(state, 2.5, xs[rows])
+    nw = nw_density_grid(state, xs[rows], 2.5)
+    for col, ref in enumerate((j0, j1, nw), start=1):
+        peak = np.abs(table[:, col]).max()
+        assert np.abs(table[rows, col] - ref).max() <= 1e-13 * peak

@@ -14,7 +14,7 @@ from kgflow import (
     rest_density,
     scan_negative_density,
 )
-from kgflow.current import current_grid
+from kgflow.current import classify_many, current_grid
 from kgflow.states import evaluate_dpsi, evaluate_psi
 from kgflow._quad import gauss_panels
 
@@ -181,3 +181,48 @@ def test_bundled_single_packet_scenarios_have_no_negativity(bundled_states):
     for name in ("single_rest", "single_boosted"):
         state = bundled_states[name]
         assert scan_negative_density(state, 0.0, -8.0, 8.0, 801) == []
+
+
+def _classify_scalar(v0, v1):
+    # reference: the band rule stated for one vector with Python scalars
+    tol = 1e-9 * (1.0 + float(np.hypot(v0, v1)))
+    s = v0 * v0 - v1 * v1
+    if s > tol * tol:
+        return CausalClass.TIMELIKE_FORWARD if v0 > 0 else CausalClass.TIMELIKE_BACKWARD
+    if s < -tol * tol:
+        return CausalClass.SPACELIKE
+    if float(np.hypot(v0, v1)) > tol:
+        return CausalClass.LIGHTLIKE
+    return CausalClass.NULL_VECTOR
+
+
+def test_classify_many_matches_scalar_rule():
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-12, 3, 4000)
+    v0, v1 = (rng.normal(size=(2, 4000)) * scale)
+    # exactly lightlike, zero and tiny vectors, and points placed on the band
+    # edges v.v = +-tol^2 (tol = 1e-9 (1 + |v|)) plus a few ulps either side
+    a = 10.0 ** rng.uniform(-11, 1, 300)
+    edge0, edge1 = [], []
+    for sign in (1.0, -1.0):
+        tol = 1e-9 * (1.0 + np.sqrt(2.0) * a)
+        for _ in range(3):
+            b = np.sqrt(np.maximum(a * a - sign * tol * tol, 0.0))
+            tol = 1e-9 * (1.0 + np.hypot(a, b))
+        for k in range(-3, 4):
+            edge0.append(a)
+            edge1.append(b + k * np.spacing(b))
+    v0 = np.concatenate([v0, a, -a, [0.0, 1e-12, -1e-10, 0.0], *edge0, *edge0])
+    v1 = np.concatenate([v1, a, a, [0.0, 0.0, 1e-10, -3e-10], *edge1, -np.concatenate(edge1)])
+    v0 = np.concatenate([v0, -v0])
+    v1 = np.concatenate([v1, v1])
+    got = classify_many(v0, v1)
+    assert got.shape == v0.shape
+    expected = [_classify_scalar(a, b) for a, b in zip(v0.tolist(), v1.tolist())]
+    assert list(got) == expected
+    assert [classify(FourVector(a, b)) for a, b in zip(v0.tolist(), v1.tolist())] == expected
+    assert all(type(c) is CausalClass for c in got)
+    assert set(expected) == set(CausalClass)
+    explicit = classify_many([2.0, 1.0, 0.0], [1.0, 1.0, 0.0], tol=0.0)
+    assert list(explicit) == [CausalClass.TIMELIKE_FORWARD, CausalClass.LIGHTLIKE,
+                              CausalClass.NULL_VECTOR]

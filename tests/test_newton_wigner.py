@@ -16,7 +16,7 @@ from kgflow import (
 from kgflow.newton_wigner import nw_amplitude_grid, nw_density_grid
 from kgflow.current import current_grid
 from kgflow.states import psi_grid
-from kgflow._quad import gauss_panels
+from kgflow._quad import _legendre_rule, gauss_panels
 
 REL = KernelMode(tag="relativistic")
 
@@ -146,3 +146,12 @@ def test_nw_amplitude_scalar_matches_grid(rest_packet):
     assert nw_amplitude(rest_packet, q, t) == pytest.approx(
         complex(nw_amplitude_grid(rest_packet, np.asarray([q]), t)[0])
     )
+
+
+def test_legendre_rule_cached_read_only():
+    x, w = _legendre_rule(16)
+    assert _legendre_rule(16)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0

@@ -14,7 +14,9 @@ from kgflow import (
     make_gaussian_packet,
     superpose,
 )
-from kgflow.states import psi_grid
+from kgflow._quad import gauss_panels
+from kgflow.states import Lattice, _plane_wave_sum, psi_grid, uniform_lattice
+from kgflow.validation import _gauss_lattice
 
 
 def test_packet_unit_norm(rest_packet):
@@ -183,3 +185,51 @@ def test_concurrent_evaluation_is_pure(s1_state):
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda e: evaluate_psi(s1_state, e), events))
     assert serial == threaded
+
+
+def _lattice_columns(state, m):
+    # m coefficient columns built from the state: psi, its derivatives, the NW row
+    cols = [state.amplitudes, -1j * state.energies * state.amplitudes,
+            -1j * state.momenta * state.amplitudes, np.sqrt(state.energies) * state.amplitudes,
+            state.momenta * state.amplitudes, state.energies * state.amplitudes]
+    return np.stack(cols[:m], axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("n", [2, 97, 400, 20001])
+def test_lattice_kernel_matches_array_path(s1_state, n, m):
+    coeffs = _lattice_columns(s1_state, m)
+    grid = uniform_lattice(-8.0, 8.0, n)
+    coarse, fine, _ = grid
+    assert np.size(grid) == n > (coarse.size - 1) * fine.size
+    xs = (coarse[:, None] + fine[None, :]).ravel()[:n]
+    np.testing.assert_allclose(xs, np.linspace(-8.0, 8.0, n), rtol=0, atol=1e-14)
+    for t in (0.0, 2.5):
+        lattice = _plane_wave_sum(s1_state, t, grid, coeffs)
+        direct = _plane_wave_sum(s1_state, t, xs, coeffs)
+        assert lattice.shape == direct.shape == (n, m)
+        peak = np.abs(direct).max(axis=0)
+        assert np.all(np.abs(lattice - direct).max(axis=0) <= 1e-13 * peak)
+
+
+def test_lattice_kernel_gauss_panels(s1_state):
+    grid, w = _gauss_lattice(-30.0, 34.0, 160, 16)
+    xs, w_ref = gauss_panels(-30.0, 34.0, 160, 16)
+    # one common half-width against half-widths of rounded linspace edges
+    np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0)
+    mid, offsets, n = grid
+    assert n == np.size(grid) == xs.size
+    np.testing.assert_allclose((mid[:, None] + offsets[None, :]).ravel(), xs, rtol=0, atol=1e-13)
+    coeffs = _lattice_columns(s1_state, 1)[:, 0]
+    lattice = _plane_wave_sum(s1_state, 1.5, grid, coeffs)
+    direct = _plane_wave_sum(s1_state, 1.5, xs, coeffs)
+    assert lattice.shape == direct.shape == xs.shape
+    assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
+    with pytest.raises(ValueError, match="scalar t"):
+        _plane_wave_sum(s1_state, np.array([0.0, 1.0]), grid, coeffs)
+    with pytest.raises(ValueError, match="at most"):
+        _plane_wave_sum(s1_state, 1.5, Lattice(mid, offsets, n + 1), coeffs)
+    with pytest.raises(ValueError, match="at least 2"):
+        uniform_lattice(0.0, 1.0, 1)
+    # a plain tuple is still a sequence of positions
+    assert np.array_equal(psi_grid(s1_state, 1.5, (0.5, 2.0)), psi_grid(s1_state, 1.5, [0.5, 2.0]))

@@ -9,6 +9,7 @@ from kgflow import (
     FourVector,
     GridSpec,
     NodeError,
+    classify,
     detect_closed,
     make_gaussian_packet,
     segment_stats,
@@ -86,6 +87,15 @@ def test_pocket_trajectory_records_reversal(pocket_trajectory, s1_field):
         j_a = s1_field(pocket_trajectory.events[k])
         j_b = s1_field(pocket_trajectory.events[k + 1])
         assert j_a.v0 * j_b.v0 < 0
+
+
+def test_step_classes_are_classify_of_each_step(node_trajectory):
+    events = node_trajectory.events
+    assert isinstance(node_trajectory.classes, tuple)
+    assert node_trajectory.classes == tuple(
+        classify(FourVector(b.t - a.t, b.x - a.x)) for a, b in zip(events, events[1:])
+    )
+    assert all(type(c) is CausalClass for c in node_trajectory.classes)
 
 
 def test_node_trajectory_reverses_through_spacelike(node_trajectory):
