@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .current import current
+from .current import current_grid
 from .errors import CausalOrderError, CoverageError, ZeroProbabilityOutcomeError
 from .newton_wigner import nw_density_grid
 from .states import (
@@ -34,6 +34,7 @@ from .states import (
     Event,
     FourVector,
     SpectralState,
+    _phase_table,
     _plane_wave_sum,
     _require_same_grid,
 )
@@ -120,16 +121,52 @@ def make_final_outcome(q, T: float, template: SpectralState) -> FinalOutcome:
     return FinalOutcome(q, float(T), *_outcome_states(template, q, T))
 
 
+def _bilinear(own, theirs):
+    """E^a = g d^a psi - d^a g psi from (psi, d0, d1) columns and the conjugated outcome's."""
+    psi, d0, d1 = own[..., 0], own[..., 1], own[..., 2]
+    g, dg0, dg1 = np.conj(theirs[..., 0]), np.conj(theirs[..., 1]), np.conj(theirs[..., 2])
+    return g * d0 - dg0 * psi, g * d1 - dg1 * psi
+
+
 def _bilinear_grid(initial: SpectralState, f, t: float, xs):
-    """Both-sided combination E^a = g d^a psi - d^a g psi; one kernel call for all of f."""
+    """Both-sided combination E^a at every position for every outcome of f; one kernel call."""
     back = f.backward_state
     _require_same_grid(initial, back)
     both = [s._psi_dpsi_columns.reshape(initial.momenta.size, -1, 3) for s in (initial, back)]
     out = _plane_wave_sum(initial, t, xs, np.concatenate(both, axis=1))  # (..., 1 + n_q, 3)
-    psi, d0, d1 = out[..., :1, 0], out[..., :1, 1], out[..., :1, 2]
-    g, dg0, dg1 = np.conj(out[..., 1:, 0]), np.conj(out[..., 1:, 1]), np.conj(out[..., 1:, 2])
-    shape = np.shape(xs) + back.amplitudes.shape[:-1]
-    return (g * d0 - dg0 * psi).reshape(shape), (g * d1 - dg1 * psi).reshape(shape)
+    shape = out.shape[:-2] + back.amplitudes.shape[:-1]
+    return tuple(e.reshape(shape) for e in _bilinear(out[..., :1, :], out[..., 1:, :]))
+
+
+def _bilinear_rows(initial: SpectralState, f, t, xs):
+    """E^a at position i against outcome i of a stacked f: the diagonal of _bilinear_grid.
+
+    One phase table; the prepared state's columns take one product and
+    each row contracts only its own outcome's, so the cost is linear in n.
+    """
+    back = f.backward_state
+    _require_same_grid(initial, back)
+    table = _phase_table(initial, t, xs) * (INV_SQRT_2PI * initial.weights)
+    own = table @ initial._psi_dpsi_columns
+    theirs = np.einsum("ik,kic->ic", table, back._psi_dpsi_columns)
+    return _bilinear(own, theirs)
+
+
+def _conditional_current(initial, f, t, xs, amplitude_floor, bilinear):
+    """The floor and causal checks, then j^a = -Im(E^a / <f|i>) / 2m from bilinear's E^a."""
+    amplitude = np.abs(f.amplitude_fi).min()
+    if amplitude <= amplitude_floor:
+        raise ZeroProbabilityOutcomeError(
+            f"outcome amplitude {amplitude:.3e} at or below floor {amplitude_floor:.3e}"
+        )
+    t_last = np.asarray(t).max()
+    if t_last > f.T:
+        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
+    e0, e1 = bilinear(initial, f, t, xs)
+    scale = -0.5 / initial.mass
+    j0 = scale * np.imag(e0 / f.amplitude_fi)
+    j1 = scale * np.imag(e1 / f.amplitude_fi)
+    return j0, j1
 
 
 def conditional_current_grid(
@@ -140,19 +177,22 @@ def conditional_current_grid(
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
 ):
     """Vectorized conditional (j0, j1) over positions at fixed t."""
-    amplitude = np.abs(f.amplitude_fi).min()
-    if amplitude <= amplitude_floor:
-        raise ZeroProbabilityOutcomeError(
-            f"outcome amplitude {amplitude:.3e} at or below floor {amplitude_floor:.3e}"
-        )
-    t_last = np.asarray(t).max()
-    if t_last > f.T:
-        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
-    e0, e1 = _bilinear_grid(initial, f, t, xs)
-    scale = -0.5 / initial.mass
-    j0 = scale * np.imag(e0 / f.amplitude_fi)
-    j1 = scale * np.imag(e1 / f.amplitude_fi)
-    return j0, j1
+    return _conditional_current(initial, f, t, xs, amplitude_floor, _bilinear_grid)
+
+
+def conditional_current_rows(
+    initial: SpectralState,
+    f: FinalOutcome,
+    t,
+    xs,
+    amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
+):
+    """Conditional (j0, j1) at (t[i], xs[i]) given outcome i of a stacked f.
+
+    Equals the diagonal of conditional_current_grid at cost linear in the
+    number of rows; t is a scalar or one time per row.
+    """
+    return _conditional_current(initial, f, t, xs, amplitude_floor, _bilinear_rows)
 
 
 def conditional_current(
@@ -240,7 +280,8 @@ def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> flo
     Sums the pole-free weighted integrand over the ensemble at each
     event and compares against the unconditional current; by
     completeness of the outcome basis the gap measures quadrature error
-    only.  Each event evaluates every outcome in one kernel call.
+    only.  The integrand at every event for every outcome is one kernel
+    call, and the direct current one more.
     """
     rho = outcome_probabilities(initial, ens)
     covered = float(np.dot(ens.weights, rho))
@@ -248,11 +289,8 @@ def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> flo
         raise CoverageError(
             f"ensemble captures probability {covered:.6f}, below 1 - {COVERAGE_TOL}"
         )
-    num = 0.0
-    den = 0.0
-    for e in events:
-        w0, w1 = weighted_integrand_grid(initial, ens, e.t, e.x)
-        direct = current(initial, e)
-        num += (ens.weights @ w0 - direct.v0) ** 2 + (ens.weights @ w1 - direct.v1) ** 2
-        den += direct.v0**2 + direct.v1**2
-    return float(np.sqrt(num / den))
+    t, x = np.array([(e.t, e.x) for e in events], dtype=float).T
+    w0, w1 = weighted_integrand_grid(initial, ens, t, x)
+    j0, j1 = current_grid(initial, t, x)
+    num = np.sum((w0 @ ens.weights - j0) ** 2 + (w1 @ ens.weights - j1) ** 2)
+    return float(np.sqrt(num / np.sum(j0**2 + j1**2)))

@@ -13,8 +13,11 @@ Every position-space quantity in the package (psi and its derivatives,
 the Newton-Wigner amplitude, the conditional bilinear for one outcome or
 a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
 time t times a coefficient matrix whose columns are built from the
-amplitudes.  States are immutable after construction; every evaluation
-is a pure function of (state, event) and safe to call from any thread.
+amplitudes.  The one exception pairs row i of the table with outcome i
+only (the tracer's stacked conditional field), contracting the same
+`_phase_table` row by row.  States are immutable after construction;
+every evaluation is a pure function of (state, event) and safe to call
+from any thread.
 """
 
 from __future__ import annotations
@@ -226,6 +229,14 @@ class Lattice(NamedTuple):
         return self.n
 
 
+def _phase_table(state: SpectralState, t, xs):
+    """The phase table exp(-i(p0 t - p x)), shape xs.shape + (K,); t broadcasts against xs."""
+    table = np.asarray(xs, dtype=float)[..., None] * (1j * state.momenta)
+    table -= (1j * np.asarray(t))[..., None] * state.energies
+    np.exp(table, out=table)
+    return table
+
+
 def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
     """The evaluation kernel: sum_k w_k <x|p_k> c_k at time t for every x.
 
@@ -236,28 +247,29 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
 
     xs may instead be a Lattice at a scalar t; the result then has n rows.
     exp(i p (c + f)) = exp(i p c) exp(i p f) splits the table into an
-    (n_a, K) coarse table, folded into the coefficients (n_a K m multiplies),
-    and an (n_b, K) fine table times the folded matrix: (n_a + n_b) K
-    exponentials instead of n_a n_b K, and no n x K table.  The fold pays
-    while the coefficient width m stays below n_b.
+    (n_a, K) coarse table A and an (n_b, K) fine table B: (n_a + n_b) K
+    exponentials instead of n_a n_b K.  A narrow matrix (m < n_b) takes
+    the fold: A goes into the coefficients (n_a K m multiplies) and one
+    product B @ C builds no n x K table.  A wide one takes the product
+    table A[a] B[b], n K complex multiplies, times the matrix.
     """
     k = state.momenta.size
     matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(k, -1)
-    if isinstance(xs, Lattice):
-        coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
-        if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
-            raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
-        table = coarse[:, None] * (1j * state.momenta)
-        table -= (1j * float(t)) * state.energies
-        np.exp(table, out=table)
+    if not isinstance(xs, Lattice):
+        table = _phase_table(state, t, xs)
+        return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
+    coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
+    if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
+        raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
+    table = _phase_table(state, t, coarse)
+    fine_table = np.exp(fine[:, None] * (1j * state.momenta))
+    if matrix.shape[1] >= fine.size:
+        out = (table[:, None, :] * fine_table[None, :, :]).reshape(-1, k)[: xs.n] @ matrix
+    else:
         folded = table.T[:, :, None] * matrix[:, None, :]  # (K, n_a, m)
-        out = np.exp(fine[:, None] * (1j * state.momenta)) @ folded.reshape(k, -1)
-        out = out.reshape(fine.size, coarse.size, -1).transpose(1, 0, 2)
-        return out.reshape(-1, matrix.shape[1])[: xs.n].reshape((xs.n,) + coeffs.shape[1:])
-    table = np.asarray(xs, dtype=float)[..., None] * (1j * state.momenta)
-    table -= (1j * np.asarray(t))[..., None] * state.energies
-    np.exp(table, out=table)
-    return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
+        out = (fine_table @ folded.reshape(k, -1)).reshape(fine.size, coarse.size, -1)
+        out = out.transpose(1, 0, 2).reshape(-1, matrix.shape[1])[: xs.n]
+    return out.reshape((xs.n,) + coeffs.shape[1:])
 
 
 def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:

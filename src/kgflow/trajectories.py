@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NodeError
 from .current import CausalClass, classify_many, current_grid
-from .conditional import FinalOutcome, conditional_current_grid
+from .conditional import FinalOutcome, conditional_current_grid, conditional_current_rows
 from .states import Event, FourVector, SpectralState
 
 FieldHandle = Callable[[Event], FourVector]
@@ -81,14 +81,13 @@ def conditional_field(
     """Field handle for the current conditioned on a final outcome.
 
     A stacked outcome (make_final_outcome with an array of q) conditions row
-    i of each event on outcome i, the diagonal of one ensemble evaluation.
+    i of each event on outcome i, at cost linear in the number of rows.
     """
+    stacked = outcome.backward_state.amplitudes.ndim > 1
+    current_of = conditional_current_rows if stacked else conditional_current_grid
 
     def field(e: Event) -> FourVector:
-        j0, j1 = conditional_current_grid(initial, outcome, e.t, e.x, amplitude_floor)
-        if outcome.backward_state.amplitudes.ndim > 1:
-            j0, j1 = np.diagonal(j0), np.diagonal(j1)
-        return FourVector(j0, j1)
+        return FourVector(*current_of(initial, outcome, e.t, e.x, amplitude_floor))
 
     return field
 

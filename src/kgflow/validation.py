@@ -13,9 +13,11 @@ true divergence with the leading h^2 truncation term removed.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
-from ._quad import _legendre_rule, gauss_panels
+from ._quad import _legendre_rule
 from .conditional import decompose_check, outcome_probabilities, weighted_integrand_grid
 from .current import central_divergence, current_grid
 from .errors import ScenarioError
@@ -47,14 +49,26 @@ def richardson_divergence(j_fn, e: Event, h: float):
     return (4.0 * r_h2 - r_h) / 3.0, r_h, r_h2
 
 
+def _median(values) -> float:
+    """np.median of a nonempty 1-d array, without the numpy.ma import np.median pulls in."""
+    s = np.sort(values)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else 0.5 * (s[mid - 1] + s[mid]))
+
+
 def _continuity_scan(j_fn, events, length_scale: float, h: float = 1e-3):
-    """Worst entrywise extrapolated divergence over max|j|/length, plus order ratios."""
-    j_max = np.max([np.hypot(*j_fn(e.t, e.x)) for e in events], axis=0)
-    est, r_h, r_h2 = map(np.array, zip(*[richardson_divergence(j_fn, e, h) for e in events]))
+    """Worst entrywise extrapolated divergence over max|j|/length, plus order ratios.
+
+    All events go through j_fn together, one call per stencil offset, so
+    j_fn(t, x) takes equal-length arrays and returns rows per event.
+    """
+    batch = Event(*np.array([(e.t, e.x) for e in events], dtype=float).T)
+    j_max = np.max(np.hypot(*j_fn(batch.t, batch.x)), axis=0)
+    est, r_h, r_h2 = richardson_divergence(j_fn, batch, h)
     rel = np.max(np.abs(est), axis=0) / (j_max / length_scale)
     resolved = np.abs(r_h2) > 1e-12 * j_max
     ratios = np.abs(r_h[resolved]) / np.abs(r_h2[resolved])
-    order = float(np.median(ratios)) if ratios.size else float("nan")
+    order = _median(ratios) if ratios.size else float("nan")
     return float(np.max(rel)), order
 
 
@@ -74,8 +88,9 @@ def run_validation(scenario: Scenario) -> dict:
 
     checks = {}
 
+    start = perf_counter()
     defect = truncation_defect(scenario)
-    checks["momentum_truncation"] = _entry(defect, "momentum_truncation")
+    checks["momentum_truncation"] = _entry(defect, "momentum_truncation", start)
 
     state = build_state(scenario, check_truncation=False)
     box = scenario.box
@@ -85,8 +100,9 @@ def run_validation(scenario: Scenario) -> dict:
         np.linspace(0.25 * box.t_lo, 0.25 * box.t_hi, 5),
         np.linspace(0.4 * box.x_lo, 0.4 * box.x_hi, 5),
     )
+    start = perf_counter()
     rel, order = _continuity_scan(lambda t, x: current_grid(state, t, x), std_events, length)
-    checks["continuity_standard"] = _entry(rel, "continuity_standard", order_ratio=order)
+    checks["continuity_standard"] = _entry(rel, "continuity_standard", start, order_ratio=order)
 
     ensemble = build_ensemble(scenario, state)
     rho = outcome_probabilities(state, ensemble)
@@ -97,29 +113,33 @@ def run_validation(scenario: Scenario) -> dict:
     def j_cond(t, x):
         # pole-free form over the fixed outcome amplitudes, kept outcomes only
         w0, w1 = weighted_integrand_grid(state, ensemble, t, x)
-        return w0[keep] / a2_keep, w1[keep] / a2_keep
+        return w0[..., keep] / a2_keep, w1[..., keep] / a2_keep
 
     cond_events = _event_grid(
         np.array([0.2, 0.5, 0.8]) * T, np.linspace(0.3 * box.x_lo, 0.3 * box.x_hi, 3)
     )
+    start = perf_counter()
     worst_cond, _ = _continuity_scan(j_cond, cond_events, length)
     checks["continuity_conditional"] = _entry(
-        worst_cond, "continuity_conditional", outcomes_checked=int(keep.size)
+        worst_cond, "continuity_conditional", start, outcomes_checked=int(keep.size)
     )
 
+    start = perf_counter()
     norm_defect = conditional_normalization_defect(
         scenario, state, ensemble, keep, times=np.array([0.2, 0.5, 0.8]) * T
     )
     checks["conditional_normalization"] = _entry(
-        norm_defect, "conditional_normalization", outcomes_checked=int(keep.size)
+        norm_defect, "conditional_normalization", start, outcomes_checked=int(keep.size)
     )
 
     dec_events = _event_grid(
         np.array([0.0, 0.25, 0.5]) * T, np.linspace(0.2 * box.x_lo, 0.2 * box.x_hi, 3)
     )
+    start = perf_counter()
     dec = decompose_check(state, ensemble, dec_events)
-    checks["decomposition_l2"] = _entry(dec, "decomposition_l2")
+    checks["decomposition_l2"] = _entry(dec, "decomposition_l2", start)
 
+    start = perf_counter()
     deltas = np.linspace(0.1, 5.0, 25)
     mode = KernelMode(tag="relativistic")
     oracles = [bessel_k0(scenario.mass * d) / np.pi for d in deltas]
@@ -127,10 +147,11 @@ def run_validation(scenario: Scenario) -> dict:
         abs(position_kernel(scenario.mass, d, mode) - oracle) / oracle
         for d, oracle in zip(deltas, oracles)
     )
-    checks["kernel_vs_bessel"] = _entry(kernel_err, "kernel_vs_bessel")
+    checks["kernel_vs_bessel"] = _entry(kernel_err, "kernel_vs_bessel", start)
 
+    start = perf_counter()
     parseval = nw_parseval_defect(scenario, state, times=(0.0, 0.5 * T))
-    checks["nw_parseval"] = _entry(parseval, "nw_parseval")
+    checks["nw_parseval"] = _entry(parseval, "nw_parseval", start)
 
     return {
         "scenario": scenario.name,
@@ -139,13 +160,15 @@ def run_validation(scenario: Scenario) -> dict:
     }
 
 
-def _entry(value: float, name: str, **extras) -> dict:
+def _entry(value: float, name: str, start: float, **extras) -> dict:
+    """A check's report entry; seconds is the perf_counter time since start."""
     entry = {
         "value": float(value),
         "tolerance": TOLERANCES[name],
         "pass": bool(value <= TOLERANCES[name]),
     }
     entry.update(extras)
+    entry["seconds"] = perf_counter() - start
     return entry
 
 
@@ -172,7 +195,7 @@ def conditional_normalization_defect(scenario, state, ensemble, keep, times) -> 
     lo = min(lo, float(ensemble.q_grid.min()) - margin)
     hi = max(hi, float(ensemble.q_grid.max()) + margin)
     panels = max(96, int(np.ceil((hi - lo) / 0.5)))
-    xs, w = gauss_panels(lo, hi, panels, 16)
+    xs, w = _gauss_lattice(lo, hi, panels, 16)
     a2 = np.abs(ensemble.amplitude_fi[keep]) ** 2
     worst = 0.0
     for t in times:

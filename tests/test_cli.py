@@ -125,6 +125,7 @@ def test_validate_bundled_scenario_passes(tmp_path):
     }
     for check in report["checks"].values():
         assert check["value"] <= check["tolerance"]
+        assert np.isfinite(check["seconds"]) and check["seconds"] >= 0.0
 
 
 def test_validate_flags_truncated_grid(tmp_path):

@@ -28,6 +28,7 @@ from kgflow.newton_wigner import nw_density_grid
 from kgflow.scenarios import build_ensemble, build_state
 from kgflow.states import psi_grid
 from kgflow._quad import gauss_panels
+from kgflow.validation import _gauss_lattice
 
 EVENTS = [Event(t, x) for t in (0.0, 0.5, 1.0) for x in (-2.0, 0.0, 2.0)]
 
@@ -241,3 +242,39 @@ def test_conditional_rejects_mismatched_grids(s1_state, rest_packet):
     stranger = make_final_outcome(0.0, 2.0, rest_packet)
     with pytest.raises(GridMismatchError):
         conditional_current(s1_state, stranger, Event(0.0, 0.0))
+
+
+def test_weighted_integrand_on_lattice_matches_array_path(s1_conditional_scenario):
+    # the normalization check's nodes: 126 columns against 16 offsets, the product table
+    state = build_state(s1_conditional_scenario)
+    ens = build_ensemble(s1_conditional_scenario, state)
+    grid, _ = _gauss_lattice(-24.0, 26.0, 100, 16)
+    xs = (grid.coarse[:, None] + grid.fine[None, :]).ravel()
+    for t in (0.4, 1.6):
+        w0, w1 = weighted_integrand_grid(state, ens, t, grid)
+        r0, r1 = weighted_integrand_grid(state, ens, t, xs)
+        assert w0.shape == r0.shape == (xs.size, ens.q_grid.size)
+        for got, ref in ((w0, r0), (w1, r1)):
+            peak = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(got - ref).max(axis=0) <= 1e-13 * peak)
+
+
+def _decompose_per_event(initial, ens, events):
+    # the event-by-event form of decompose_check, as the reference
+    num = den = 0.0
+    for e in events:
+        w0, w1 = weighted_integrand_grid(initial, ens, e.t, e.x)
+        direct = current(initial, e)
+        num += (ens.weights @ w0 - direct.v0) ** 2 + (ens.weights @ w1 - direct.v1) ** 2
+        den += direct.v0**2 + direct.v1**2
+    return float(np.sqrt(num / den))
+
+
+def test_decompose_check_matches_per_event_loop(s1_state, s1_ensemble, rest_packet):
+    rest_ens = make_outcome_ensemble(rest_packet, 2.0, -13.0, 13.0, 41)
+    for state, ens in ((s1_state, s1_ensemble), (rest_packet, rest_ens)):
+        batched = decompose_check(state, ens, EVENTS)
+        reference = _decompose_per_event(state, ens, EVENTS)
+        assert abs(batched - reference) <= 1e-10 * reference
+    one = decompose_check(s1_state, s1_ensemble, EVENTS[4:5])
+    assert abs(one - _decompose_per_event(s1_state, s1_ensemble, EVENTS[4:5])) <= 1e-10 * one

@@ -11,6 +11,7 @@ from kgflow import (
     evaluate_psi,
     inner,
     invariant_norm,
+    make_final_outcome,
     make_gaussian_packet,
     superpose,
 )
@@ -233,3 +234,23 @@ def test_lattice_kernel_gauss_panels(s1_state):
         uniform_lattice(0.0, 1.0, 1)
     # a plain tuple is still a sequence of positions
     assert np.array_equal(psi_grid(s1_state, 1.5, (0.5, 2.0)), psi_grid(s1_state, 1.5, [0.5, 2.0]))
+
+
+@pytest.mark.parametrize("m", [16, 126])
+@pytest.mark.parametrize("n", [2, 97, 2640])
+def test_lattice_product_table_matches_array_path(s1_state, n, m):
+    # 16 fine offsets never exceed m, so every case takes the product table;
+    # n = 2640 fills 165 panels exactly, 97 and 2 leave 15 and 14 surplus points
+    grid = _gauss_lattice(-30.0, 34.0, -(-n // 16), 16)[0]._replace(n=n)
+    coarse, fine, _ = grid
+    assert fine.size <= m and coarse.size * fine.size - n == {2: 14, 97: 15, 2640: 0}[n]
+    xs = (coarse[:, None] + fine[None, :]).ravel()[:n]
+    # the columns: m outcome rows peaked across the lattice's own span
+    outcomes = make_final_outcome(np.linspace(xs[0], xs[-1], m), 2.0, s1_state)
+    coeffs = outcomes.backward_state.amplitudes.T
+    for t in (0.0, 1.5):
+        lattice = _plane_wave_sum(s1_state, t, grid, coeffs)
+        direct = _plane_wave_sum(s1_state, t, xs, coeffs)
+        assert lattice.shape == direct.shape == (n, m)
+        peak = np.abs(direct).max(axis=0)
+        assert np.all(np.abs(lattice - direct).max(axis=0) <= 1e-13 * peak)

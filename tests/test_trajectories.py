@@ -9,6 +9,7 @@ from kgflow import (
     FourVector,
     GridSpec,
     NodeError,
+    ZeroProbabilityOutcomeError,
     classify,
     detect_closed,
     make_gaussian_packet,
@@ -255,3 +256,22 @@ def test_trace_many_matches_trace(s1_field, bundled_states):
         conditional_current_grid(
             state, make_final_outcome(1.0, 2.0, state), np.array([0.0, 2.5]), np.zeros(2)
         )
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_stacked_conditional_field_is_diagonal_of_grid(bundled_states, n):
+    # row i against outcome i at linear cost, against the diagonal of the n x n grid
+    state = bundled_states["s1_conditional"]
+    rng = np.random.default_rng(n)
+    t, x = rng.uniform(-1.5, 1.9, n), rng.uniform(-6.0, 6.0, n)
+    outcome = make_final_outcome(rng.uniform(-4.0, 6.0, n), 2.0, state)
+    got = conditional_field(state, outcome)(Event(t, x))
+    full = conditional_current_grid(state, outcome, t, x)
+    for column, grid in zip((got.v0, got.v1), full):
+        ref = np.diagonal(grid)
+        assert column.shape == ref.shape == (n,)
+        assert np.all(np.abs(column - ref) <= 1e-12 * np.abs(ref).max())
+    with pytest.raises(CausalOrderError):
+        conditional_field(state, outcome)(Event(np.full(n, 2.5), x))
+    with pytest.raises(ZeroProbabilityOutcomeError):
+        conditional_field(state, outcome, amplitude_floor=1.0)(Event(t, x))
