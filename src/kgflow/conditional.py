@@ -122,47 +122,59 @@ def make_final_outcome(q, T: float, template: SpectralState) -> FinalOutcome:
 
 
 def _bilinear(own, theirs):
-    """E^a = g d^a psi - d^a g psi from (psi, d0, d1) columns and the conjugated outcome's."""
-    psi, d0, d1 = own[..., 0], own[..., 1], own[..., 2]
-    g, dg0, dg1 = np.conj(theirs[..., 0]), np.conj(theirs[..., 1]), np.conj(theirs[..., 2])
-    return g * d0 - dg0 * psi, g * d1 - dg1 * psi
+    """E^a = g d^a psi - d^a g psi from (psi, d0[, d1]) columns and the conjugated outcome's.
+
+    One E^a per derivative column, so (psi, d0) columns give (E^0,) alone.
+    """
+    psi, g = own[..., 0], np.conj(theirs[..., 0])
+    return tuple(g * own[..., a] - np.conj(theirs[..., a]) * psi for a in range(1, own.shape[-1]))
 
 
-def _bilinear_grid(initial: SpectralState, f, t: float, xs):
-    """Both-sided combination E^a at every position for every outcome of f; one kernel call."""
+def _bilinear_grid(initial: SpectralState, f, t: float, xs, columns: int = 3):
+    """Both-sided combination E^a at every position for every outcome of f; one kernel call.
+
+    columns=2 evaluates only psi and d0 of each state and returns (E^0,).
+    """
     back = f.backward_state
     _require_same_grid(initial, back)
-    both = [s._psi_dpsi_columns.reshape(initial.momenta.size, -1, 3) for s in (initial, back)]
-    out = _plane_wave_sum(initial, t, xs, np.concatenate(both, axis=1))  # (..., 1 + n_q, 3)
+    k = initial.momenta.size
+    both = [s._psi_dpsi_columns.reshape(k, -1, 3)[..., :columns] for s in (initial, back)]
+    out = _plane_wave_sum(initial, t, xs, np.concatenate(both, axis=1))  # (..., 1 + n_q, columns)
     shape = out.shape[:-2] + back.amplitudes.shape[:-1]
     return tuple(e.reshape(shape) for e in _bilinear(out[..., :1, :], out[..., 1:, :]))
 
 
-def _bilinear_rows(initial: SpectralState, f, t, xs):
-    """E^a at position i against outcome i of a stacked f: the diagonal of _bilinear_grid.
+def _bilinear_rows(initial: SpectralState, f, table):
+    """E^a at row i of a phase table of initial against outcome i of a stacked f.
 
-    One phase table; the prepared state's columns take one product and
-    each row contracts only its own outcome's, so the cost is linear in n.
+    The diagonal of _bilinear_grid: the prepared state's columns take one
+    product and a batched product contracts each row with its own
+    outcome's columns only, so the cost is linear in n.  An unstacked f
+    pairs every row with its one outcome.
     """
     back = f.backward_state
     _require_same_grid(initial, back)
-    table = _phase_table(initial, t, xs) * (INV_SQRT_2PI * initial.weights)
-    own = table @ initial._psi_dpsi_columns
-    theirs = np.einsum("ik,kic->ic", table, back._psi_dpsi_columns)
+    own = table @ initial._row_columns
+    theirs = np.matmul(table[..., None, :], back._row_columns)[..., 0, :]
     return _bilinear(own, theirs)
 
 
-def _conditional_current(initial, f, t, xs, amplitude_floor, bilinear):
-    """The floor and causal checks, then j^a = -Im(E^a / <f|i>) / 2m from bilinear's E^a."""
+def _require_before(f, t):
+    """CausalOrderError unless every evaluation time in t is at or before f's time T."""
+    t_last = np.asarray(t).max()
+    if t_last > f.T:
+        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
+
+
+def _conditional_current(initial, f, t, amplitude_floor, bilinear):
+    """The floor and causal checks, then j^a = -Im(E^a / <f|i>) / 2m from bilinear()'s E^a."""
     amplitude = np.abs(f.amplitude_fi).min()
     if amplitude <= amplitude_floor:
         raise ZeroProbabilityOutcomeError(
             f"outcome amplitude {amplitude:.3e} at or below floor {amplitude_floor:.3e}"
         )
-    t_last = np.asarray(t).max()
-    if t_last > f.T:
-        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
-    e0, e1 = bilinear(initial, f, t, xs)
+    _require_before(f, t)
+    e0, e1 = bilinear()
     scale = -0.5 / initial.mass
     j0 = scale * np.imag(e0 / f.amplitude_fi)
     j1 = scale * np.imag(e1 / f.amplitude_fi)
@@ -177,7 +189,9 @@ def conditional_current_grid(
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
 ):
     """Vectorized conditional (j0, j1) over positions at fixed t."""
-    return _conditional_current(initial, f, t, xs, amplitude_floor, _bilinear_grid)
+    return _conditional_current(
+        initial, f, t, amplitude_floor, lambda: _bilinear_grid(initial, f, t, xs)
+    )
 
 
 def conditional_current_rows(
@@ -186,13 +200,21 @@ def conditional_current_rows(
     t,
     xs,
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
+    table=None,
 ):
     """Conditional (j0, j1) at (t[i], xs[i]) given outcome i of a stacked f.
 
     Equals the diagonal of conditional_current_grid at cost linear in the
-    number of rows; t is a scalar or one time per row.
+    number of rows; t is a scalar or one time per row.  A caller that
+    already has the phase table of initial at (t, xs), built or rotated
+    (the tracer's RK4 stages), passes it as table.
     """
-    return _conditional_current(initial, f, t, xs, amplitude_floor, _bilinear_rows)
+
+    def bilinear():
+        rows = _phase_table(initial, t, xs) if table is None else table
+        return _bilinear_rows(initial, f, rows)
+
+    return _conditional_current(initial, f, t, amplitude_floor, bilinear)
 
 
 def conditional_current(
@@ -214,13 +236,21 @@ def conditional_current(
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
     """Vectorized pole-free j^a(x|f) |<f|i>|^2; an ensemble f adds an outcome axis."""
-    t_last = np.asarray(t).max()
-    if t_last > f.T:
-        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
-    e0, e1 = _bilinear_grid(initial, f, t, xs)
+    return _weighted_grid(initial, f, t, xs, columns=3)
+
+
+def weighted_density_grid(initial: SpectralState, f, t: float, xs):
+    """The time component of weighted_integrand_grid alone, from psi and d0 columns only."""
+    (w0,) = _weighted_grid(initial, f, t, xs, columns=2)
+    return w0
+
+
+def _weighted_grid(initial, f, t, xs, columns):
+    """The pole-free products for the E^a that _bilinear_grid forms from columns columns."""
+    _require_before(f, t)
     scale = -0.5 / initial.mass
     amp_bar = np.conj(f.amplitude_fi)
-    return scale * np.imag(amp_bar * e0), scale * np.imag(amp_bar * e1)
+    return tuple(scale * np.imag(amp_bar * e) for e in _bilinear_grid(initial, f, t, xs, columns))
 
 
 def weighted_integrand(initial: SpectralState, f: FinalOutcome, e: Event) -> FourVector:

@@ -54,9 +54,12 @@ def _current_from(mass: float, psi, d0, d1):
     return np.imag(np.conj(d0) * psi) / mass, np.imag(np.conj(d1) * psi) / mass
 
 
-def current_grid(state: SpectralState, t: float, xs):
-    """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t."""
-    return _current_from(state.mass, *psi_dpsi_grid(state, t, xs))
+def current_grid(state: SpectralState, t: float, xs, table=None):
+    """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t.
+
+    table is the phase table at (t, xs) when the caller has it (psi_dpsi_grid).
+    """
+    return _current_from(state.mass, *psi_dpsi_grid(state, t, xs, table))
 
 
 def current(state: SpectralState, e: Event) -> FourVector:

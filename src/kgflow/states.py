@@ -15,7 +15,11 @@ a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
 time t times a coefficient matrix whose columns are built from the
 amplitudes.  The one exception pairs row i of the table with outcome i
 only (the tracer's stacked conditional field), contracting the same
-`_phase_table` row by row.  States are immutable after construction;
+`_phase_table` row by row.  The tracer's RK4 stages lie within one step
+of an accepted point, so `_rotate_table` gets their tables from the
+accepted point's exact one: a rotation by exp(i(p dx - p0 dt)) whose
+cosine and sine are Taylor polynomials, exact to rounding for
+|p dx - p0 dt| <= ROTATION_RANGE.  States are immutable after construction;
 every evaluation is a pure function of (state, event) and safe to call
 from any thread.
 """
@@ -119,6 +123,16 @@ class SpectralState:
         cols = np.stack([a, -1j * self.energies * a, -1j * self.momenta * a], axis=-1)
         return np.ascontiguousarray(np.moveaxis(cols, -2, 0))
 
+    @cached_property
+    def _row_columns(self):
+        """(..., K, 3): each stacked row's psi, d0, d1 coefficients, kernel weights folded in.
+
+        The columns of _psi_dpsi_columns times w (2 pi)^-1/2, laid out for a
+        batched product against one phase-table row per stacked row.
+        """
+        a = (INV_SQRT_2PI * self.weights) * self.amplitudes
+        return np.stack([a, -1j * self.energies * a, -1j * self.momenta * a], axis=-1)
+
 
 def _freeze(mass, momenta, amplitudes, weights) -> SpectralState:
     energies = np.sqrt(momenta * momenta + mass * mass)
@@ -182,6 +196,8 @@ def make_gaussian_packet(
 def _require_same_grid(a: SpectralState, b: SpectralState):
     if a.mass != b.mass:
         raise GridMismatchError("states have different masses")
+    if a.momenta is b.momenta and a.weights is b.weights:
+        return  # one grid shared, as by an outcome ensemble and its prepared state
     if a.momenta.shape != b.momenta.shape or not (
         np.array_equal(a.momenta, b.momenta) and np.array_equal(a.weights, b.weights)
     ):
@@ -237,6 +253,56 @@ def _phase_table(state: SpectralState, t, xs):
     return table
 
 
+# |theta| the stage rotation covers: cos through theta^12 and sin through
+# theta^13 leave truncation below 5e-20 there
+ROTATION_RANGE = 0.25
+# Taylor coefficients in theta^2, highest power first, for Horner's rule
+_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(6, -1, -1))
+_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(6, -1, -1))
+
+
+def _horner(coeffs, sq, out=None):
+    """The polynomial in sq with coefficients coeffs, highest power first."""
+    acc = np.multiply(coeffs[0], sq, out=out)
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= sq
+    acc += coeffs[-1]
+    return acc
+
+
+def _rotate_table(state: SpectralState, table, offsets):
+    """The phase table at (t, x) + offsets from the table at (t, x), without exponentials.
+
+    offsets (..., 2) holds (dt, dx) for each row of table (..., K).  The
+    result is table * exp(i theta), theta = p dx - p0 dt, with cos theta
+    and sin theta from real Taylor polynomials that are exact to rounding
+    for |theta| <= ROTATION_RANGE.  |theta| <= |offset| sqrt(p^2 + p0^2),
+    so the caller keeps offsets within ROTATION_RANGE over the largest
+    sqrt(p^2 + p0^2) of the grid.
+    """
+    # three (..., K) real buffers, reused: this runs at every RK4 stage
+    offsets = np.asarray(offsets, dtype=float)
+    theta = offsets[..., 1:] * state.momenta
+    sq = offsets[..., :1] * state.energies
+    theta -= sq
+    np.multiply(theta, theta, out=sq)
+    sin = _horner(_SIN_TAYLOR, sq)
+    sin *= theta
+    rotation = np.empty(theta.shape, dtype=complex)
+    rotation.real = _horner(_COS_TAYLOR, sq, out=theta)
+    rotation.imag = sin
+    rotation *= table
+    return rotation
+
+
+def _table_sum(state: SpectralState, table, coeffs):
+    """The kernel's product sum_k w_k (2 pi)^-1/2 table[..., k] c_k on a table already built."""
+    k = state.momenta.size
+    matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(k, -1)
+    return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
+
+
 def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
     """The evaluation kernel: sum_k w_k <x|p_k> c_k at time t for every x.
 
@@ -253,11 +319,10 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
     product B @ C builds no n x K table.  A wide one takes the product
     table A[a] B[b], n K complex multiplies, times the matrix.
     """
+    if not isinstance(xs, Lattice):
+        return _table_sum(state, _phase_table(state, t, xs), coeffs)
     k = state.momenta.size
     matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(k, -1)
-    if not isinstance(xs, Lattice):
-        table = _phase_table(state, t, xs)
-        return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
     coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
     if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
         raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
@@ -303,10 +368,13 @@ def psi_grid(state: SpectralState, t: float, xs):
     return _plane_wave_sum(state, t, xs, state.amplitudes.T)
 
 
-def psi_dpsi_grid(state: SpectralState, t: float, xs):
+def psi_dpsi_grid(state: SpectralState, t: float, xs, table=None):
     """Vectorized (psi, d0 psi, d1 psi) over an array of positions.
 
     A stacked state's rows come out on a trailing axis of each result.
+    A caller that already has the phase table at (t, xs), built or
+    rotated (the tracer's RK4 stages), passes it as table.
     """
-    out = _plane_wave_sum(state, t, xs, state._psi_dpsi_columns)
+    cols = state._psi_dpsi_columns
+    out = _plane_wave_sum(state, t, xs, cols) if table is None else _table_sum(state, table, cols)
     return out[..., 0], out[..., 1], out[..., 2]

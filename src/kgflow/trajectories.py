@@ -8,10 +8,20 @@ aligned with the previous tangent, so the traced line passes smoothly
 through density-sign reversals, where the field direction swings
 through spacelike orientations.
 
-All seeds of a call advance in lockstep, one field call per RK4 stage.
-So a field handle maps an Event whose t and x are equal-length arrays to
-a FourVector evaluated elementwise, row i belonging to seed i; scalar
-components broadcast, so a constant field may return plain floats.
+All seeds of a call advance in lockstep, one field evaluation per RK4
+stage.  So a field handle maps an Event whose t and x are equal-length
+arrays to a FourVector evaluated elementwise, row i belonging to seed i;
+scalar components broadcast, so a constant field may return plain floats.
+
+The handles of standard_field and conditional_field are TableFields,
+which read the field off the phase table exp(-i(p0 t - p x)).  The
+tracer builds that table exactly only at each accepted point and gets
+the three off-point stage tables by rotating it through
+exp(i(p dx - p0 dt)), from real Taylor polynomials instead of
+exponentials.  Those cover |p dx - p0 dt| <= states.ROTATION_RANGE
+(0.25); a stage offset is at most one step long, so a step beyond
+ROTATION_RANGE / max sqrt(p^2 + p0^2) (0.038 on the bundled s1 grids)
+makes every stage build its own table instead, decided once per call.
 """
 
 from __future__ import annotations
@@ -23,10 +33,19 @@ import numpy as np
 
 from .errors import NodeError
 from .current import CausalClass, classify_many, current_grid
-from .conditional import FinalOutcome, conditional_current_grid, conditional_current_rows
-from .states import Event, FourVector, SpectralState
+from .conditional import FinalOutcome, conditional_current_rows
+from .states import (
+    ROTATION_RANGE,
+    Event,
+    FourVector,
+    SpectralState,
+    _phase_table,
+    _rotate_table,
+)
 
 FieldHandle = Callable[[Event], FourVector]
+# a step's CausalClass as its bincount code, in definition order
+_CLASS_INDEX = {cls: i for i, cls in enumerate(CausalClass)}
 
 
 @dataclass(frozen=True)
@@ -66,13 +85,26 @@ class Trajectory:
     stop_reason: str
 
 
+@dataclass(frozen=True)
+class TableField:
+    """A field handle that reads the field off a phase table of state.
+
+    from_table(t, x, table) gives (j0, j1) at the rows of table, the phase
+    table of state at times t and positions x.  Calling the handle
+    builds that table, so it keeps the field(e) protocol; trace_many
+    builds it only at accepted points and rotates it to the RK4 stages.
+    """
+
+    state: SpectralState
+    from_table: Callable
+
+    def __call__(self, e: Event) -> FourVector:
+        return FourVector(*self.from_table(e.t, e.x, _phase_table(self.state, e.t, e.x)))
+
+
 def standard_field(state: SpectralState) -> FieldHandle:
     """Field handle for the unconditional current of a state."""
-
-    def field(e: Event) -> FourVector:
-        return FourVector(*current_grid(state, e.t, e.x))
-
-    return field
+    return TableField(state, lambda t, x, table: current_grid(state, t, x, table))
 
 
 def conditional_field(
@@ -83,13 +115,50 @@ def conditional_field(
     A stacked outcome (make_final_outcome with an array of q) conditions row
     i of each event on outcome i, at cost linear in the number of rows.
     """
-    stacked = outcome.backward_state.amplitudes.ndim > 1
-    current_of = conditional_current_rows if stacked else conditional_current_grid
 
-    def field(e: Event) -> FourVector:
-        return FourVector(*current_of(initial, outcome, e.t, e.x, amplitude_floor))
+    def from_table(t, x, table):
+        return conditional_current_rows(initial, outcome, t, x, amplitude_floor, table)
 
-    return field
+    return TableField(initial, from_table)
+
+
+def _stage_evaluator(field: FieldHandle, step: float):
+    """evaluate(p) -> (j, near): the field at the rows of p, and near(d), the field at p + d.
+
+    The one adapter between a field handle and the RK4 loop, where d is a
+    stage offset at most one step long.  A TableField builds the exact
+    phase table at p and rotates it to p + d (states._rotate_table) when
+    one step keeps |theta| within ROTATION_RANGE; past that range every
+    stage builds its own table.  A plain callable is called at p + d.
+    """
+
+    def rows(j0, j1, p):
+        j = np.empty_like(p)
+        j[:, 0], j[:, 1] = j0, j1
+        return j
+
+    if not isinstance(field, TableField):
+
+        def at(p):
+            v = field(Event(p[:, 0], p[:, 1]))
+            return rows(v.v0, v.v1, p)
+
+        return lambda p: (at(p), lambda d: at(p + d))
+
+    state, from_table = field.state, field.from_table
+    rotate = step * np.hypot(state.momenta, state.energies).max() <= ROTATION_RANGE
+
+    def evaluate(p):
+        table = _phase_table(state, p[:, 0], p[:, 1])
+
+        def near(d):
+            t, x = (p + d).T
+            stage = _rotate_table(state, table, d) if rotate else _phase_table(state, t, x)
+            return rows(*from_table(t, x, stage), p)
+
+        return rows(*from_table(p[:, 0], p[:, 1], table), p), near
+
+    return evaluate
 
 
 def trace(
@@ -132,11 +201,7 @@ def trace_many(
         if not box.contains(seed):
             raise ValueError(f"seed {seed} lies outside the box")
 
-    def evaluate(p):
-        v = field(Event(p[:, 0], p[:, 1]))
-        j = np.empty_like(p)
-        j[:, 0], j[:, 1] = v.v0, v.v1
-        return j
+    evaluate = _stage_evaluator(field, step)
 
     def direction(j, ref):
         # unit rows sign-aligned with ref, zero rows where |j| is at the floor
@@ -146,7 +211,7 @@ def trace_many(
         return np.where(((d * ref).sum(axis=1) < 0.0)[:, None], -d, d), ok
 
     pos = np.array([(s.t, s.x) for s in seeds], dtype=float).reshape(-1, 2)
-    j = evaluate(pos)
+    j, near = evaluate(pos)
     scale = np.hypot(j[:, 0], j[:, 1])
     floor = 1e-10 * scale if node_floor is None else float(node_floor)
     if np.any((scale <= floor) | (scale == 0.0)):
@@ -160,9 +225,9 @@ def trace_many(
 
     for k in range(max_steps):
         k1, ok1 = direction(j, tangent)
-        k2, ok2 = direction(evaluate(pos + 0.5 * step * k1), tangent)
-        k3, ok3 = direction(evaluate(pos + 0.5 * step * k2), tangent)
-        k4, ok4 = direction(evaluate(pos + step * k3), tangent)
+        k2, ok2 = direction(near(0.5 * step * k1), tangent)
+        k3, ok3 = direction(near(0.5 * step * k2), tangent)
+        k4, ok4 = direction(near(step * k3), tangent)
         delta = (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         deltas.append(delta)
         norm = np.hypot(delta[:, 0], delta[:, 1])
@@ -177,11 +242,12 @@ def trace_many(
             if not live.any():
                 break
         pos = np.where(live[:, None], new, pos)
-        j = evaluate(pos)
+        j, near = evaluate(pos)
         np.divide(delta, norm[:, None], out=tangent, where=live[:, None])
         path.append(pos)
         densities.append(j[:, 0])
 
+    del near  # the last accepted table; the lines need only the arrays
     path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
     arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
     flips = densities[:-1] * densities[1:] < 0
@@ -209,15 +275,15 @@ def segment_stats(traj: Trajectory) -> dict:
     if len(traj.events) < 2:
         raise ValueError("trajectory has no steps")
     lengths = np.diff(np.asarray(traj.arc))
-    total = float(lengths.sum())
-    acc = dict.fromkeys(CausalClass, 0.0)
-    for cls, ds in zip(traj.classes, lengths):
-        acc[cls] += float(ds)
+    codes = np.fromiter(map(_CLASS_INDEX.__getitem__, traj.classes), int, len(traj.classes))
+    acc = np.bincount(codes, weights=lengths, minlength=len(_CLASS_INDEX)) / lengths.sum()
+    # null-vector steps (the last code) count in no fraction
+    forward, backward, spacelike, lightlike = acc[:4].tolist()
     return {
-        "fraction_forward": acc[CausalClass.TIMELIKE_FORWARD] / total,
-        "fraction_backward": acc[CausalClass.TIMELIKE_BACKWARD] / total,
-        "fraction_spacelike": acc[CausalClass.SPACELIKE] / total,
-        "fraction_lightlike": acc[CausalClass.LIGHTLIKE] / total,
+        "fraction_forward": forward,
+        "fraction_backward": backward,
+        "fraction_spacelike": spacelike,
+        "fraction_lightlike": lightlike,
     }
 
 

@@ -13,12 +13,19 @@ true divergence with the leading h^2 truncation term removed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
 
 from ._quad import _legendre_rule
-from .conditional import decompose_check, outcome_probabilities, weighted_integrand_grid
+from .conditional import (
+    FinalOutcome,
+    decompose_check,
+    outcome_probabilities,
+    weighted_density_grid,
+    weighted_integrand_grid,
+)
 from .current import central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
@@ -196,11 +203,15 @@ def conditional_normalization_defect(scenario, state, ensemble, keep, times) -> 
     hi = max(hi, float(ensemble.q_grid.max()) + margin)
     panels = max(96, int(np.ceil((hi - lo) / 0.5)))
     xs, w = _gauss_lattice(lo, hi, panels, 16)
-    a2 = np.abs(ensemble.amplitude_fi[keep]) ** 2
+    back = ensemble.backward_state
+    kept = FinalOutcome(  # the kept outcomes as one stacked outcome
+        ensemble.q_grid[keep], ensemble.T, replace(back, amplitudes=back.amplitudes[keep]),
+        ensemble.amplitude_fi[keep],
+    )
+    a2 = np.abs(kept.amplitude_fi) ** 2
     worst = 0.0
     for t in times:
-        w0, _ = weighted_integrand_grid(state, ensemble, float(t), xs)
-        totals = (w @ w0[:, keep]) / a2
+        totals = (w @ weighted_density_grid(state, kept, float(t), xs)) / a2
         worst = max(worst, float(np.max(np.abs(totals - 1.0))))
     return worst
 

@@ -16,7 +16,16 @@ from kgflow import (
     superpose,
 )
 from kgflow._quad import gauss_panels
-from kgflow.states import Lattice, _plane_wave_sum, psi_grid, uniform_lattice
+from kgflow.states import (
+    ROTATION_RANGE,
+    Lattice,
+    _phase_table,
+    _plane_wave_sum,
+    _require_same_grid,
+    _rotate_table,
+    psi_grid,
+    uniform_lattice,
+)
 from kgflow.validation import _gauss_lattice
 
 
@@ -106,6 +115,38 @@ def test_inner_product_properties(rest_packet, s1_state):
     assert abs(inner(a, b)) < 1e-8
     with pytest.raises(GridMismatchError):
         inner(rest_packet, a)
+
+
+def test_same_grid_check_shares_arrays_and_still_rejects_mismatches(s1_state):
+    # outcome states share the prepared state's grid arrays, so the check passes by identity
+    outcome = make_final_outcome(np.array([0.0, 1.0]), 2.0, s1_state).backward_state
+    assert outcome.momenta is s1_state.momenta and outcome.weights is s1_state.weights
+    _require_same_grid(s1_state, outcome)
+    shifted = make_gaussian_packet(1.0, 0.0, 0.15, 0.0, GridSpec(-1.5, 4.7))
+    assert shifted.momenta.shape == s1_state.momenta.shape
+    with pytest.raises(GridMismatchError):
+        _require_same_grid(s1_state, shifted)
+
+
+def test_rotated_table_matches_phase_table_to_range_edge(s1_state):
+    rng = np.random.default_rng(6)
+    n = 400
+    t, x = rng.uniform(-5.0, 5.0, n), rng.uniform(-12.0, 12.0, n)
+    rate = np.hypot(s1_state.momenta, s1_state.energies)
+    # random directions at random lengths up to the range edge, then offsets
+    # along the fastest mode's own direction, where |theta| is exactly the range
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    length = ROTATION_RANGE / rate.max() * np.sqrt(rng.uniform(0.0, 1.0, n))
+    length[-100:] = ROTATION_RANGE / rate.max()
+    offsets = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    fastest = np.argmax(rate)
+    edge = np.array([-s1_state.energies[fastest], s1_state.momenta[fastest]]) / rate.max()
+    offsets[-50:] = np.outer(rng.choice([-1.0, 1.0], 50), edge) * ROTATION_RANGE / rate.max()
+    theta = offsets @ np.stack((-s1_state.energies, s1_state.momenta))
+    assert np.abs(theta).max() == pytest.approx(ROTATION_RANGE, rel=1e-12)
+    rotated = _rotate_table(s1_state, _phase_table(s1_state, t, x), offsets)
+    exact = _phase_table(s1_state, t + offsets[:, 0], x + offsets[:, 1])
+    assert np.abs(rotated - exact).max() <= 1e-13
 
 
 def test_psi_real_positive_at_origin(rest_packet):

@@ -18,6 +18,8 @@ from kgflow import (
     trace,
     trace_many,
 )
+from kgflow import trajectories
+from kgflow.states import ROTATION_RANGE
 from kgflow.trajectories import conditional_field
 from kgflow.conditional import conditional_current_grid, make_final_outcome
 
@@ -275,3 +277,31 @@ def test_stacked_conditional_field_is_diagonal_of_grid(bundled_states, n):
         conditional_field(state, outcome)(Event(np.full(n, 2.5), x))
     with pytest.raises(ZeroProbabilityOutcomeError):
         conditional_field(state, outcome, amplitude_floor=1.0)(Event(t, x))
+
+
+def test_stage_tables_rotate_from_one_exact_table_per_step(bundled_states, monkeypatch):
+    state = bundled_states["s1_negative_density"]
+    field = standard_field(state)
+    seeds = [Event(-1.0, -2.0), Event(0.5, 0.3), Event(2.0, 4.0)]
+    n_steps = 40
+    reach = ROTATION_RANGE / np.hypot(state.momenta, state.energies).max()
+    built = []
+    exact_table = trajectories._phase_table
+
+    def counting(*args):
+        built.append(1)
+        return exact_table(*args)
+
+    monkeypatch.setattr(trajectories, "_phase_table", counting)
+    # step 0.02 rotates all three stages; a step past the range builds every stage's table
+    for step, tables_per_step in ((0.02, 1), (1.25 * reach, 4)):
+        built.clear()
+        lines = trace_many(field, seeds, step, n_steps, WIDE)
+        assert {line.stop_reason for line in lines} == {"max-steps"}
+        assert len(built) == 1 + tables_per_step * n_steps
+    # the rotated stages trace the same lines as a plain callable, which takes exact tables
+    monkeypatch.undo()
+    rotated = trace_many(field, seeds, 0.02, n_steps, WIDE)
+    plain = trace_many(lambda e: field(e), seeds, 0.02, n_steps, WIDE)
+    for line, exact in zip(rotated, plain):
+        assert_same_line(line, exact)
