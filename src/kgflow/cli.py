@@ -18,11 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .conditional import make_final_outcome
+from .current import _CLASS_VALUES
 from .errors import DomainError
 from .newton_wigner import KernelMode, bessel_k0, density_profile, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, load_scenario
 from .states import Event, uniform_lattice
-from .trajectories import Box, conditional_field, segment_stats, standard_field, trace_many
+from .trajectories import (
+    FRACTION_KEYS, Box, conditional_field, segment_stats, standard_field, trace_many,
+)
 from .validation import run_validation
 
 
@@ -149,22 +152,17 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
     summaries = []
     for tid, (seed, q) in enumerate(seeds):
         traj = traced[tid]
-        for k, (e, s) in enumerate(zip(traj.events, traj.arc)):
-            cls = traj.classes[k - 1].value if k > 0 else ""
-            rows.append((tid, s, e.t, e.x, cls))
-        if len(traj.events) > 1:
-            stats = segment_stats(traj)
-        else:
-            # the very first step left the box or hit a node
-            kinds = ("forward", "backward", "spacelike", "lightlike")
-            stats = {f"fraction_{kind}": 0.0 for kind in kinds}
+        labels = ["", *_CLASS_VALUES[traj.codes].tolist()]
+        rows.extend(zip([tid] * len(labels), traj.arc.tolist(), *traj.points.T.tolist(), labels))
+        # a line whose very first step left the box or hit a node has no fractions
+        stats = segment_stats(traj) if traj.codes.size else dict.fromkeys(FRACTION_KEYS, 0.0)
         summaries.append(
             {
                 "id": tid,
                 "seed": {"t": seed.t, "x": seed.x},
                 "outcome_q": q,
-                "n_events": len(traj.events),
-                "arc_length": traj.arc[-1],
+                "n_events": len(traj.points),
+                "arc_length": float(traj.arc[-1]),
                 "reversals": len(traj.reversals),
                 "stop_reason": traj.stop_reason,
                 "fractions": stats,
@@ -220,6 +218,10 @@ def main(argv=None) -> int:
         "kernel": _run_kernel,
     }
     try:
+        # argparse's float() takes nan and inf; no float flag has a use for them
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite")
         scenario = load_scenario(args.scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -34,7 +34,6 @@ from .states import (
     Event,
     FourVector,
     SpectralState,
-    _phase_table,
     _plane_wave_sum,
     _require_same_grid,
 )
@@ -144,21 +143,6 @@ def _bilinear_grid(initial: SpectralState, f, t: float, xs, columns: int = 3):
     return tuple(e.reshape(shape) for e in _bilinear(out[..., :1, :], out[..., 1:, :]))
 
 
-def _bilinear_rows(initial: SpectralState, f, table):
-    """E^a at row i of a phase table of initial against outcome i of a stacked f.
-
-    The diagonal of _bilinear_grid: the prepared state's columns take one
-    product and a batched product contracts each row with its own
-    outcome's columns only, so the cost is linear in n.  An unstacked f
-    pairs every row with its one outcome.
-    """
-    back = f.backward_state
-    _require_same_grid(initial, back)
-    own = table @ initial._row_columns
-    theirs = np.matmul(table[..., None, :], back._row_columns)[..., 0, :]
-    return _bilinear(own, theirs)
-
-
 def _require_before(f, t):
     """CausalOrderError unless every evaluation time in t is at or before f's time T."""
     t_last = np.asarray(t).max()
@@ -198,21 +182,25 @@ def conditional_current_rows(
     initial: SpectralState,
     f: FinalOutcome,
     t,
-    xs,
+    table,
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
-    table=None,
 ):
-    """Conditional (j0, j1) at (t[i], xs[i]) given outcome i of a stacked f.
+    """Conditional (j0, j1) at row i of table given outcome i of a stacked f.
 
-    Equals the diagonal of conditional_current_grid at cost linear in the
-    number of rows; t is a scalar or one time per row.  A caller that
-    already has the phase table of initial at (t, xs), built or rotated
-    (the tracer's RK4 stages), passes it as table.
+    table is the phase table of initial at (t[i], x[i]), built or rotated
+    (the tracer's RK4 stages); t is a scalar or one time per row.  The
+    diagonal of conditional_current_grid: the prepared state's columns take
+    one product and a batched product contracts each row with its own
+    outcome's columns only, so the cost is linear in the number of rows.
+    An unstacked f pairs every row with its one outcome.
     """
 
     def bilinear():
-        rows = _phase_table(initial, t, xs) if table is None else table
-        return _bilinear_rows(initial, f, rows)
+        back = f.backward_state
+        _require_same_grid(initial, back)
+        own = table @ initial._row_columns
+        theirs = np.matmul(table[..., None, :], back._row_columns)[..., 0, :]
+        return _bilinear(own, theirs)
 
     return _conditional_current(initial, f, t, amplitude_floor, bilinear)
 

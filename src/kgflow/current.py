@@ -54,12 +54,9 @@ def _current_from(mass: float, psi, d0, d1):
     return np.imag(np.conj(d0) * psi) / mass, np.imag(np.conj(d1) * psi) / mass
 
 
-def current_grid(state: SpectralState, t: float, xs, table=None):
-    """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t.
-
-    table is the phase table at (t, xs) when the caller has it (psi_dpsi_grid).
-    """
-    return _current_from(state.mass, *psi_dpsi_grid(state, t, xs, table))
+def current_grid(state: SpectralState, t: float, xs):
+    """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t."""
+    return _current_from(state.mass, *psi_dpsi_grid(state, t, xs))
 
 
 def current(state: SpectralState, e: Event) -> FourVector:
@@ -137,18 +134,19 @@ def scan_negative_density(
     return intervals
 
 
-# CausalClass in definition order: forward, backward, spacelike, lightlike, null
+# CausalClass and its values in definition order: forward, backward, spacelike, lightlike, null
 _CLASS_CODES = np.array(list(CausalClass), dtype=object)
+_CLASS_VALUES = np.array([cls.value for cls in CausalClass], dtype=object)
 
 
-def classify_many(v0, v1, tol=None):
-    """Causal character of every (v0[i], v1[i]) with a scale-aware lightlike band.
+def _class_codes(v0, v1, tol=None):
+    """Causal character of every (v0[i], v1[i]), coded by its index in CausalClass.
 
+    A scale-aware lightlike band separates the classes:
     timelike-forward/backward for v.v > tol^2 split on sign(v0),
     spacelike for v.v < -tol^2, lightlike within the band when the
     vector itself is not negligible, null-vector otherwise.  tol defaults
-    to 1e-9 (1 + |v|) per vector.  Returns an object array of CausalClass
-    shaped like the broadcast inputs (one CausalClass for scalars).
+    to 1e-9 (1 + |v|) per vector.
     """
     v0, v1 = np.asarray(v0, dtype=float), np.asarray(v1, dtype=float)
     norm = np.hypot(v0, v1)
@@ -157,8 +155,12 @@ def classify_many(v0, v1, tol=None):
     elif np.any(np.asarray(tol) < 0):
         raise ValueError("tol must be nonnegative")
     s, band = v0 * v0 - v1 * v1, tol * tol
-    codes = np.select([s > band, s < -band, norm > tol], [np.where(v0 > 0, 0, 1), 2, 3], 4)
-    return _CLASS_CODES[codes]
+    return np.select([s > band, s < -band, norm > tol], [np.where(v0 > 0, 0, 1), 2, 3], 4)
+
+
+def classify_many(v0, v1, tol=None):
+    """_class_codes as an object array of CausalClass (one CausalClass for scalars)."""
+    return _CLASS_CODES[_class_codes(v0, v1, tol)]
 
 
 def classify(v: FourVector, tol: float | None = None) -> CausalClass:

@@ -13,15 +13,15 @@ Every position-space quantity in the package (psi and its derivatives,
 the Newton-Wigner amplitude, the conditional bilinear for one outcome or
 a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
 time t times a coefficient matrix whose columns are built from the
-amplitudes.  The one exception pairs row i of the table with outcome i
-only (the tracer's stacked conditional field), contracting the same
-`_phase_table` row by row.  The tracer's RK4 stages lie within one step
-of an accepted point, so `_rotate_table` gets their tables from the
-accepted point's exact one: a rotation by exp(i(p dx - p0 dt)) whose
-cosine and sine are Taylor polynomials, exact to rounding for
-|p dx - p0 dt| <= ROTATION_RANGE.  States are immutable after construction;
-every evaluation is a pure function of (state, event) and safe to call
-from any thread.
+amplitudes.  The tracer holds its tables itself and reads them through
+`_table_sum`, or, for its stacked conditional field, row i against
+outcome i only; the public evaluators take positions, never a table.
+Its RK4 stages lie within one step of an accepted point, so
+`_rotate_table` gets their tables from the accepted point's exact one: a
+rotation by exp(i(p dx - p0 dt)) whose cosine and sine are Taylor
+polynomials, exact to rounding for |p dx - p0 dt| <= ROTATION_RANGE.
+States are immutable after construction; every evaluation is a pure
+function of (state, event) and safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -368,13 +368,10 @@ def psi_grid(state: SpectralState, t: float, xs):
     return _plane_wave_sum(state, t, xs, state.amplitudes.T)
 
 
-def psi_dpsi_grid(state: SpectralState, t: float, xs, table=None):
+def psi_dpsi_grid(state: SpectralState, t: float, xs):
     """Vectorized (psi, d0 psi, d1 psi) over an array of positions.
 
     A stacked state's rows come out on a trailing axis of each result.
-    A caller that already has the phase table at (t, xs), built or
-    rotated (the tracer's RK4 stages), passes it as table.
     """
-    cols = state._psi_dpsi_columns
-    out = _plane_wave_sum(state, t, xs, cols) if table is None else _table_sum(state, table, cols)
+    out = _plane_wave_sum(state, t, xs, state._psi_dpsi_columns)
     return out[..., 0], out[..., 1], out[..., 2]

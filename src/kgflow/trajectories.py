@@ -12,11 +12,13 @@ All seeds of a call advance in lockstep, one field evaluation per RK4
 stage.  So a field handle maps an Event whose t and x are equal-length
 arrays to a FourVector evaluated elementwise, row i belonging to seed i;
 scalar components broadcast, so a constant field may return plain floats.
+Each line comes back as a Trajectory of arrays, whose events and classes
+are built only when read.
 
 The handles of standard_field and conditional_field are TableFields,
-which read the field off the phase table exp(-i(p0 t - p x)).  The
-tracer builds that table exactly only at each accepted point and gets
-the three off-point stage tables by rotating it through
+which can also read the field off the phase table exp(-i(p0 t - p x)).
+The tracer builds that table exactly only at each accepted point and
+gets the three off-point stage tables by rotating it through
 exp(i(p dx - p0 dt)), from real Taylor polynomials instead of
 exponentials.  Those cover |p dx - p0 dt| <= states.ROTATION_RANGE
 (0.25); a stage offset is at most one step long, so a step beyond
@@ -27,12 +29,13 @@ makes every stage build its own table instead, decided once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import NodeError
-from .current import CausalClass, classify_many, current_grid
+from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
 from .conditional import FinalOutcome, conditional_current_rows
 from .states import (
     ROTATION_RANGE,
@@ -41,11 +44,12 @@ from .states import (
     SpectralState,
     _phase_table,
     _rotate_table,
+    _table_sum,
 )
 
 FieldHandle = Callable[[Event], FourVector]
-# a step's CausalClass as its bincount code, in definition order
-_CLASS_INDEX = {cls: i for i, cls in enumerate(CausalClass)}
+# segment_stats keys in CausalClass code order; null-vector steps count in none
+FRACTION_KEYS = tuple(f"fraction_{k}" for k in ("forward", "backward", "spacelike", "lightlike"))
 
 
 @dataclass(frozen=True)
@@ -61,50 +65,67 @@ class Box:
         if not (self.t_lo < self.t_hi and self.x_lo < self.x_hi):
             raise ValueError("box must have positive extent on both axes")
 
-    def contains(self, e: Event) -> bool:
-        return self.t_lo <= e.t <= self.t_hi and self.x_lo <= e.x <= self.x_hi
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A traced current line.
+    """A traced current line of n steps, held as read-only arrays.
 
-    events are the visited spacetime points, arc the cumulative
-    Euclidean curve parameter (same length), classes the causal class
-    of each step displacement (one fewer entry), densities the field
-    time component at each event, reversals the step indices whose
-    endpoints carry opposite-sign densities, and stop_reason one of
-    "box-exit", "node", or "max-steps".
+    points (n+1, 2) are the visited (t, x), arc the cumulative Euclidean
+    curve parameter at each point, densities the field time component
+    at each point, and codes (n) the causal class of each step
+    displacement as its index in CausalClass definition order.
+    reversals are the step indices whose endpoints carry opposite-sign
+    densities, and stop_reason one of "box-exit", "node", or "max-steps".
     """
 
-    events: tuple
-    arc: tuple
-    classes: tuple
-    densities: tuple
+    points: np.ndarray
+    arc: np.ndarray
+    densities: np.ndarray
+    codes: np.ndarray
     reversals: tuple
     stop_reason: str
+
+    def __post_init__(self):
+        for arr in (self.points, self.arc, self.densities, self.codes):
+            arr.setflags(write=False)
+
+    @cached_property
+    def events(self) -> tuple:
+        """The points as a tuple of Events."""
+        return tuple(Event(t, x) for t, x in self.points.tolist())
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The codes as a tuple of CausalClass, one per step."""
+        return tuple(_CLASS_CODES[self.codes])
 
 
 @dataclass(frozen=True)
 class TableField:
-    """A field handle that reads the field off a phase table of state.
+    """A field handle that can also read the field off a phase table of state.
 
-    from_table(t, x, table) gives (j0, j1) at the rows of table, the phase
-    table of state at times t and positions x.  Calling the handle
-    builds that table, so it keeps the field(e) protocol; trace_many
-    builds it only at accepted points and rotates it to the RK4 stages.
+    Calling it evaluates evaluate(t, x), so it keeps the field(e)
+    protocol; from_table(t, table) gives the same (j0, j1) at the rows of
+    table, the phase table of state at times t.  trace_many builds that
+    table only at accepted points and rotates it to the RK4 stages.
     """
 
     state: SpectralState
+    evaluate: Callable
     from_table: Callable
 
     def __call__(self, e: Event) -> FourVector:
-        return FourVector(*self.from_table(e.t, e.x, _phase_table(self.state, e.t, e.x)))
+        return FourVector(*self.evaluate(e.t, e.x))
 
 
 def standard_field(state: SpectralState) -> FieldHandle:
     """Field handle for the unconditional current of a state."""
-    return TableField(state, lambda t, x, table: current_grid(state, t, x, table))
+
+    def from_table(t, table):
+        out = _table_sum(state, table, state._psi_dpsi_columns)
+        return _current_from(state.mass, out[..., 0], out[..., 1], out[..., 2])
+
+    return TableField(state, lambda t, x: current_grid(state, t, x), from_table)
 
 
 def conditional_field(
@@ -116,10 +137,10 @@ def conditional_field(
     i of each event on outcome i, at cost linear in the number of rows.
     """
 
-    def from_table(t, x, table):
-        return conditional_current_rows(initial, outcome, t, x, amplitude_floor, table)
+    def from_table(t, table):
+        return conditional_current_rows(initial, outcome, t, table, amplitude_floor)
 
-    return TableField(initial, from_table)
+    return TableField(initial, lambda t, x: from_table(t, _phase_table(initial, t, x)), from_table)
 
 
 def _stage_evaluator(field: FieldHandle, step: float):
@@ -131,17 +152,13 @@ def _stage_evaluator(field: FieldHandle, step: float):
     one step keeps |theta| within ROTATION_RANGE; past that range every
     stage builds its own table.  A plain callable is called at p + d.
     """
-
-    def rows(j0, j1, p):
-        j = np.empty_like(p)
-        j[:, 0], j[:, 1] = j0, j1
-        return j
-
     if not isinstance(field, TableField):
 
         def at(p):
-            v = field(Event(p[:, 0], p[:, 1]))
-            return rows(v.v0, v.v1, p)
+            # a plain callable may return scalar components, which broadcast
+            v, j = field(Event(p[:, 0], p[:, 1])), np.empty_like(p)
+            j[:, 0], j[:, 1] = v.v0, v.v1
+            return j
 
         return lambda p: (at(p), lambda d: at(p + d))
 
@@ -154,9 +171,9 @@ def _stage_evaluator(field: FieldHandle, step: float):
         def near(d):
             t, x = (p + d).T
             stage = _rotate_table(state, table, d) if rotate else _phase_table(state, t, x)
-            return rows(*from_table(t, x, stage), p)
+            return np.column_stack(from_table(t, stage))
 
-        return rows(*from_table(p[:, 0], p[:, 1], table), p), near
+        return np.column_stack(from_table(p[:, 0], table)), near
 
     return evaluate
 
@@ -197,9 +214,13 @@ def trace_many(
         raise ValueError("step must be positive and finite")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    for seed in seeds:
-        if not box.contains(seed):
-            raise ValueError(f"seed {seed} lies outside the box")
+    pos = np.array([(s.t, s.x) for s in seeds], dtype=float).reshape(-1, 2)
+    if not len(pos):
+        return []
+    lo, hi = np.array([box.t_lo, box.x_lo]), np.array([box.t_hi, box.x_hi])
+    inside = ((lo <= pos) & (pos <= hi)).all(axis=1)
+    if not inside.all():
+        raise ValueError(f"seed {Event(*pos[np.argmin(inside)].tolist())} lies outside the box")
 
     evaluate = _stage_evaluator(field, step)
 
@@ -210,14 +231,12 @@ def trace_many(
         d = j / np.where(ok, n, np.inf)[:, None]
         return np.where(((d * ref).sum(axis=1) < 0.0)[:, None], -d, d), ok
 
-    pos = np.array([(s.t, s.x) for s in seeds], dtype=float).reshape(-1, 2)
     j, near = evaluate(pos)
     scale = np.hypot(j[:, 0], j[:, 1])
     floor = 1e-10 * scale if node_floor is None else float(node_floor)
     if np.any((scale <= floor) | (scale == 0.0)):
         raise NodeError(f"field magnitude {scale.min():.3e} at the seed is below the floor")
     tangent = j / scale[:, None]
-    lo, hi = np.array([box.t_lo, box.x_lo]), np.array([box.t_hi, box.x_hi])
     live = np.ones(len(pos), dtype=bool)
     n_steps = np.full(len(pos), max_steps)
     stop = np.full(len(pos), "max-steps", dtype=object)
@@ -251,13 +270,13 @@ def trace_many(
     path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
     arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
     flips = densities[:-1] * densities[1:] < 0
-    classes = classify_many(deltas[..., 0], deltas[..., 1])
+    codes = _class_codes(deltas[..., 0], deltas[..., 1])
     return [
         Trajectory(
-            events=tuple(Event(t, x) for t, x in path[: n + 1, i].tolist()),
-            arc=(0.0, *arcs[:n, i].tolist()),
-            classes=tuple(classes[:n, i]),
-            densities=tuple(densities[: n + 1, i].tolist()),
+            points=path[: n + 1, i],
+            arc=np.r_[0.0, arcs[:n, i]],
+            densities=densities[: n + 1, i],
+            codes=codes[:n, i],
             reversals=tuple(np.flatnonzero(flips[:n, i]).tolist()),
             stop_reason=str(stop[i]),
         )
@@ -272,19 +291,11 @@ def segment_stats(traj: Trajectory) -> dict:
     direction necessarily spends arc length on spacelike steps in
     between, since the tangent turns continuously.
     """
-    if len(traj.events) < 2:
+    if traj.codes.size == 0:
         raise ValueError("trajectory has no steps")
-    lengths = np.diff(np.asarray(traj.arc))
-    codes = np.fromiter(map(_CLASS_INDEX.__getitem__, traj.classes), int, len(traj.classes))
-    acc = np.bincount(codes, weights=lengths, minlength=len(_CLASS_INDEX)) / lengths.sum()
-    # null-vector steps (the last code) count in no fraction
-    forward, backward, spacelike, lightlike = acc[:4].tolist()
-    return {
-        "fraction_forward": forward,
-        "fraction_backward": backward,
-        "fraction_spacelike": spacelike,
-        "fraction_lightlike": lightlike,
-    }
+    lengths = np.diff(traj.arc)
+    acc = np.bincount(traj.codes, weights=lengths, minlength=len(_CLASS_CODES)) / lengths.sum()
+    return dict(zip(FRACTION_KEYS, acc.tolist()))
 
 
 def detect_closed(traj: Trajectory, tol: float):
@@ -295,12 +306,11 @@ def detect_closed(traj: Trajectory, tol: float):
     unit tangents to agree within 45 degrees.  Returns None for open
     curves.
     """
-    if len(traj.events) < 3:
+    p, arc = traj.points, traj.arc
+    if len(p) < 3:
         return None
-    p = np.array([(e.t, e.x) for e in traj.events])
     d = np.diff(p, axis=0)
     norm = np.hypot(d[:, 0], d[:, 1])
-    arc = np.asarray(traj.arc)
     skip = max(4.0 * tol, 5.0 * arc[-1] / (len(p) - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = (d / norm[:, None]) @ (d[0] / norm[0])

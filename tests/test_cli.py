@@ -4,9 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from kgflow import CausalClass, Event, build_ensemble, make_final_outcome
 from kgflow.cli import _write_csv, main
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
+from kgflow.trajectories import (
+    Box, conditional_field, segment_stats, standard_field, trace_many,
+)
 
 TRUNCATED = {
     "name": "truncated_probe",
@@ -175,6 +179,62 @@ def test_kernel_bad_range(tmp_path):
         "--delta-lo", "3", "--delta-hi", "1",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["density", "--t=nan"], "--t"),
+    (["density", "--t=inf"], "--t"),
+    (["density", "--t=-inf"], "--t"),
+    (["kernel", "--delta-lo", "nan"], "--delta-lo"),
+    (["kernel", "--delta-hi", "inf"], "--delta-hi"),
+], ids=["t-nan", "t-inf", "t-minus-inf", "delta-lo-nan", "delta-hi-inf"])
+def test_non_finite_float_flags_rejected(tmp_path, capsys, args, flag):
+    out = tmp_path / "o"
+    rc = main(args + ["--scenario", "single_rest", "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trajectories_cells_are_the_traced_lines(tmp_path, s1_conditional_scenario,
+                                                 bundled_states):
+    # standard and conditional seeds mixed; trace_many draws the same lines
+    scenario, step = s1_conditional_scenario, 0.02
+    state = bundled_states[scenario.name]
+    seeds = [(0.0, -1.0, None), (0.5, 2.0, 1.5), (-1.0, 2.0, 4.0), (0.3, -3.0, None)]
+    out = tmp_path / "out"
+    argv = ["trajectories", "--scenario", scenario.name, "--out", str(out), "--max-steps", "150"]
+    argv += ["--seed=" + ",".join(str(v) for v in seed if v is not None) for seed in seeds]
+    assert main(argv) == 0
+
+    box, T = scenario.box, scenario.final.T
+    standard = [i for i, seed in enumerate(seeds) if seed[2] is None]
+    conditional = [i for i, seed in enumerate(seeds) if seed[2] is not None]
+    peak = float(np.abs(build_ensemble(scenario, state).amplitude_fi).max())
+    outcomes = make_final_outcome([seeds[i][2] for i in conditional], T, state)
+    lines = dict(zip(standard, trace_many(
+        standard_field(state), [Event(*seeds[i][:2]) for i in standard], step, 150, box)))
+    lines.update(zip(conditional, trace_many(
+        conditional_field(state, outcomes, 1e-8 * peak),
+        [Event(*seeds[i][:2]) for i in conditional], step, 150,
+        Box(box.t_lo, min(box.t_hi, T - step), box.x_lo, box.x_hi))))
+
+    rows = read_csv(out / "trajectories.csv")
+    summary = json.loads((out / "trajectories_summary.json").read_text())["trajectories"]
+    assert len(summary) == len(seeds)
+    for tid, entry in enumerate(summary):
+        line = lines[tid]
+        mine = [row for row in rows if row["traj_id"] == str(tid)]
+        assert len(mine) == len(line.points) == entry["n_events"]
+        for k, row in enumerate(mine):
+            assert [row["s"], row["t"], row["x"]] == [
+                "%.17g" % v for v in (line.arc[k], *line.points[k])
+            ]
+            assert row["class"] == ("" if k == 0 else list(CausalClass)[line.codes[k - 1]].value)
+        assert entry["arc_length"] == line.arc[-1]
+        assert entry["reversals"] == len(line.reversals)
+        assert entry["stop_reason"] == line.stop_reason
+        assert entry["fractions"] == segment_stats(line)
 
 
 def test_unknown_scenario_exit_code(tmp_path, capsys):

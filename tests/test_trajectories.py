@@ -92,13 +92,40 @@ def test_pocket_trajectory_records_reversal(pocket_trajectory, s1_field):
         assert j_a.v0 * j_b.v0 < 0
 
 
-def test_step_classes_are_classify_of_each_step(node_trajectory):
+def test_step_classes_are_classify_of_each_step(
+    node_trajectory, s1_field, s1_scenario, monkeypatch
+):
     events = node_trajectory.events
     assert isinstance(node_trajectory.classes, tuple)
     assert node_trajectory.classes == tuple(
         classify(FourVector(b.t - a.t, b.x - a.x)) for a, b in zip(events, events[1:])
     )
     assert all(type(c) is CausalClass for c in node_trajectory.classes)
+    # the arrays are read-only, and events and classes are views of them
+    n = len(node_trajectory.codes)
+    for name, shape in (("points", (n + 1, 2)), ("arc", (n + 1,)),
+                        ("densities", (n + 1,)), ("codes", (n,))):
+        arr = getattr(node_trajectory, name)
+        assert arr.shape == shape
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert [[e.t, e.x] for e in events] == node_trajectory.points.tolist()
+    assert node_trajectory.classes == tuple(list(CausalClass)[c] for c in node_trajectory.codes)
+
+    # the traced path makes no per-point Event or CausalClass until a view is read
+    made = []
+
+    class CountingEvent(Event):
+        def __init__(self, t, x):
+            made.append(1)
+            super().__init__(t, x)
+
+    monkeypatch.setattr(trajectories, "Event", CountingEvent)
+    seeds = [Event(2.9, 9.45), Event(0.0, -1.05)]
+    lines = trace_many(s1_field, seeds, 0.02, 200, s1_scenario.box)
+    assert made == []
+    assert all(not {"events", "classes"} & set(vars(line)) for line in lines)
+    assert len(lines[0].events) == len(made) == len(lines[0].points)
 
 
 def test_node_trajectory_reverses_through_spacelike(node_trajectory):
@@ -167,6 +194,17 @@ def test_trace_argument_errors(s1_field, s1_scenario):
         trace(s1_field, Event(0.0, 0.0), float("inf"), 100, s1_scenario.box)
 
 
+def test_trace_many_without_seeds_returns_at_once():
+    calls = []
+
+    def counting(e):
+        calls.append(1)
+        return FourVector(1.0, 0.0)
+
+    assert trace_many(counting, [], 0.1, 4000, WIDE) == []
+    assert len(calls) <= 1
+
+
 def test_node_error_at_dead_seed():
     def dead_field(e):
         return FourVector(0.0, 0.0)
@@ -191,10 +229,10 @@ def test_segment_stats_requires_steps():
     from kgflow.trajectories import Trajectory
 
     empty = Trajectory(
-        events=(Event(0.0, 0.0),),
-        arc=(0.0,),
-        classes=(),
-        densities=(1.0,),
+        points=np.zeros((1, 2)),
+        arc=np.zeros(1),
+        densities=np.ones(1),
+        codes=np.zeros(0, dtype=int),
         reversals=(),
         stop_reason="node",
     )
