@@ -100,8 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_density(args, scenario: Scenario, out: Path) -> int:
     if args.n_x < 2:
         raise ValueError("--n-x must be at least 2")
-    state = build_state(scenario)
     lo, hi = scenario.box.x_lo, scenario.box.x_hi
+    bound, reach = scenario.grid.resolvable_range, max(abs(lo), abs(hi)) + abs(args.t)
+    if reach > bound:
+        raise DomainError(
+            f"--t {args.t:g} puts max|x| + |t| = {reach:g} beyond the grid's "
+            f"resolvable range {bound:.1f}"
+        )
+    state = build_state(scenario)
     profile = density_profile(state, args.t, uniform_lattice(lo, hi, args.n_x))
     columns = (np.linspace(lo, hi, args.n_x), *profile)
     rows = zip(*(c.tolist() for c in columns))
@@ -144,7 +150,14 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
             outcomes = make_final_outcome([seeds[i][1] for i in group], scenario.final.T, state)
             field = conditional_field(state, outcomes, 1e-8 * peak)
             # stop before T: RK4 stages reach at most one step past an event
-            box = Box(box.t_lo, min(box.t_hi, scenario.final.T - args.step), box.x_lo, box.x_hi)
+            t_hi = min(box.t_hi, scenario.final.T - args.step)
+            if not box.t_lo < t_hi:
+                raise ValueError(
+                    f"--step {args.step:g} leaves no time to trace conditional seeds: they "
+                    f"stop one step before the measurement time T = {scenario.final.T:g}, "
+                    f"and the box starts at t = {box.t_lo:g}"
+                )
+            box = Box(box.t_lo, t_hi, box.x_lo, box.x_hi)
         lines = trace_many(field, [seeds[i][0] for i in group], args.step, args.max_steps, box)
         traced.update(zip(group, lines))
 

@@ -36,6 +36,7 @@ from .states import (
     SpectralState,
     _plane_wave_sum,
     _require_same_grid,
+    _resolvable_range,
 )
 
 COVERAGE_TOL = 1e-4
@@ -93,11 +94,11 @@ def _outcome_states(template: SpectralState, qs, T: float):
     The overlaps <f|i> = sum w conj(<p|f>) a are taken against the
     template, which is the prepared state.
 
-    q is limited to the range the template's momentum grid can resolve:
-    the phase p*q must advance by less than pi between adjacent nodes,
-    or the quadrature returns aliasing noise instead of amplitudes.
+    q is limited to the range the template's momentum grid can resolve
+    (states._resolvable_range), or the quadrature returns aliasing noise
+    instead of amplitudes.
     """
-    q_bound = np.pi / float(np.diff(template.momenta).max())
+    q_bound = _resolvable_range(template.momenta)
     q_far = float(np.max(np.abs(qs)))
     if q_far > q_bound:
         raise ValueError(

@@ -174,6 +174,20 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             raise ScenarioError("final.n_q must be at least 2")
         final = FinalSpec(**f)
 
+    # evaluations beyond the grid's resolvable range return aliasing noise
+    bound = grid.resolvable_range
+    reach = max(abs(box.x_lo), abs(box.x_hi)) + max(abs(box.t_lo), abs(box.t_hi))
+    if reach > bound:
+        raise ScenarioError(
+            f"box reach max|x| + max|t| = {reach:g} exceeds the grid's resolvable "
+            f"range {bound:.1f}"
+        )
+    if final is not None and max(abs(final.q_lo), abs(final.q_hi)) > bound:
+        raise ScenarioError(
+            f"final outcome range [{final.q_lo:g}, {final.q_hi:g}] exceeds the grid's "
+            f"resolvable range {bound:.1f}"
+        )
+
     return Scenario(
         name=name, mass=top["mass"], packets=tuple(packets), grid=grid, box=box, final=final
     )

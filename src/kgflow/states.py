@@ -16,10 +16,12 @@ time t times a coefficient matrix whose columns are built from the
 amplitudes.  The tracer holds its tables itself and reads them through
 `_table_sum`, or, for its stacked conditional field, row i against
 outcome i only; the public evaluators take positions, never a table.
-Its RK4 stages lie within one step of an accepted point, so
-`_rotate_table` gets their tables from the accepted point's exact one: a
-rotation by exp(i(p dx - p0 dt)) whose cosine and sine are Taylor
-polynomials, exact to rounding for |p dx - p0 dt| <= ROTATION_RANGE.
+Its RK4 stages and its next accepted point lie within one step of an
+accepted point, so `_rotate_table` gets their tables from that point's
+table: a rotation by exp(i(p dx - p0 dt)) whose cosine and sine are
+Taylor polynomials, exact to rounding for |p dx - p0 dt| <=
+ROTATION_RANGE.  An exact table every _ANCHOR_STEPS accepted points ends
+each chain of rotations before its rounding grows.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -79,6 +81,23 @@ class GridSpec:
     @property
     def n_nodes(self) -> int:
         return self.panels * self.nodes_per_panel
+
+    @property
+    def resolvable_range(self) -> float:
+        """The largest |x| + |t| at which a plane-wave sum on this grid resolves."""
+        return _resolvable_range(
+            gauss_panels(self.p_min, self.p_max, self.panels, self.nodes_per_panel)[0]
+        )
+
+
+def _resolvable_range(momenta) -> float:
+    """pi / (largest node gap): beyond it the quadrature returns aliasing noise.
+
+    The phase p x - p0 t must advance by less than pi between adjacent
+    nodes.  Its derivative in p is x - v t with |v| < 1, so
+    |x| + |t| <= pi / max gap covers every time.
+    """
+    return float(np.pi / np.diff(momenta).max())
 
 
 @dataclass(frozen=True)
@@ -256,6 +275,10 @@ def _phase_table(state: SpectralState, t, xs):
 # |theta| the stage rotation covers: cos through theta^12 and sin through
 # theta^13 leave truncation below 5e-20 there
 ROTATION_RANGE = 0.25
+# a chain of rotations, each at most one step long, is re-anchored on an
+# exact table every this many accepted steps: its rounding error grows with
+# its length, and over this many steps stays near that of one rotation
+_ANCHOR_STEPS = 64
 # Taylor coefficients in theta^2, highest power first, for Horner's rule
 _COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(6, -1, -1))
 _SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(6, -1, -1))

@@ -8,27 +8,32 @@ aligned with the previous tangent, so the traced line passes smoothly
 through density-sign reversals, where the field direction swings
 through spacelike orientations.
 
-All seeds of a call advance in lockstep, one field evaluation per RK4
-stage.  So a field handle maps an Event whose t and x are equal-length
-arrays to a FourVector evaluated elementwise, row i belonging to seed i;
-scalar components broadcast, so a constant field may return plain floats.
-Each line comes back as a Trajectory of arrays, whose events and classes
-are built only when read.
+All live lines of a call advance in lockstep, one field evaluation per
+RK4 stage, and a line that stops leaves the batch.  A field handle maps
+an Event whose t and x are equal-length arrays to a FourVector evaluated
+elementwise, row i belonging to seed i, a stopped line's row frozen at
+its last point; scalar components broadcast, so a constant field may
+return plain floats.  Each line comes back as a Trajectory of arrays,
+whose events and classes are built only when read.
 
 The handles of standard_field and conditional_field are TableFields,
-which can also read the field off the phase table exp(-i(p0 t - p x)).
-The tracer builds that table exactly only at each accepted point and
-gets the three off-point stage tables by rotating it through
-exp(i(p dx - p0 dt)), from real Taylor polynomials instead of
-exponentials.  Those cover |p dx - p0 dt| <= states.ROTATION_RANGE
-(0.25); a stage offset is at most one step long, so a step beyond
-ROTATION_RANGE / max sqrt(p^2 + p0^2) (0.038 on the bundled s1 grids)
-makes every stage build its own table instead, decided once per call.
+which can also read the field off the phase table exp(-i(p0 t - p x)),
+for the live lines' rows alone.  The tracer builds that table exactly
+only at the seed and at every states._ANCHOR_STEPS-th (64th) accepted
+point.  Every other table, of an RK4 stage or of the next accepted
+point, is the last accepted one rotated through exp(i(p dx - p0 dt)),
+from real Taylor polynomials instead of exponentials.  Rounding grows
+along a chain of rotations, and the anchors keep it near that of one
+rotation, about 1e-14.  The polynomials cover |p dx - p0 dt| <=
+states.ROTATION_RANGE (0.25); every offset is at most one step long, so
+a step beyond ROTATION_RANGE / max sqrt(p^2 + p0^2) (0.038 on the
+bundled s1 grids) makes every stage and accepted point build its own
+table instead, decided once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -38,6 +43,7 @@ from .errors import NodeError
 from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
 from .conditional import FinalOutcome, conditional_current_rows
 from .states import (
+    _ANCHOR_STEPS,
     ROTATION_RANGE,
     Event,
     FourVector,
@@ -106,13 +112,16 @@ class TableField:
 
     Calling it evaluates evaluate(t, x), so it keeps the field(e)
     protocol; from_table(t, table) gives the same (j0, j1) at the rows of
-    table, the phase table of state at times t.  trace_many builds that
-    table only at accepted points and rotates it to the RK4 stages.
+    table, the phase table of state at times t, row i for seed i.
+    rows(seeds) gives that reader for a table whose rows are those of
+    the seed indices seeds alone, in that order, as trace_many's table
+    is once lines have stopped.
     """
 
     state: SpectralState
     evaluate: Callable
     from_table: Callable
+    rows: Callable
 
     def __call__(self, e: Event) -> FourVector:
         return FourVector(*self.evaluate(e.t, e.x))
@@ -125,7 +134,9 @@ def standard_field(state: SpectralState) -> FieldHandle:
         out = _table_sum(state, table, state._psi_dpsi_columns)
         return _current_from(state.mass, out[..., 0], out[..., 1], out[..., 2])
 
-    return TableField(state, lambda t, x: current_grid(state, t, x), from_table)
+    return TableField(
+        state, lambda t, x: current_grid(state, t, x), from_table, lambda seeds: from_table
+    )
 
 
 def conditional_field(
@@ -137,45 +148,92 @@ def conditional_field(
     i of each event on outcome i, at cost linear in the number of rows.
     """
 
-    def from_table(t, table):
-        return conditional_current_rows(initial, outcome, t, table, amplitude_floor)
+    def reader(f):
+        return lambda t, table: conditional_current_rows(initial, f, t, table, amplitude_floor)
 
-    return TableField(initial, lambda t, x: from_table(t, _phase_table(initial, t, x)), from_table)
+    def rows(seeds):
+        if np.size(outcome.q_value) == 1:  # one outcome pairs with every row
+            return reader(outcome)
+        back = outcome.backward_state
+        return reader(replace(
+            outcome,
+            q_value=outcome.q_value[seeds],
+            backward_state=replace(back, amplitudes=back.amplitudes[seeds]),
+            amplitude_fi=outcome.amplitude_fi[seeds],
+        ))
+
+    from_table = reader(outcome)
+    return TableField(
+        initial, lambda t, x: from_table(t, _phase_table(initial, t, x)), from_table, rows
+    )
 
 
-def _stage_evaluator(field: FieldHandle, step: float):
-    """evaluate(p) -> (j, near): the field at the rows of p, and near(d), the field at p + d.
+class _TableStages:
+    """A TableField along the live lines, from the phase table at their accepted points.
 
-    The one adapter between a field handle and the RK4 loop, where d is a
-    stage offset at most one step long.  A TableField builds the exact
-    phase table at p and rotates it to p + d (states._rotate_table) when
-    one step keeps |theta| within ROTATION_RANGE; past that range every
-    stage builds its own table.  A plain callable is called at p + d.
+    When one step keeps |theta| within ROTATION_RANGE, the RK4 stages and
+    the next accepted point rotate that table by their offsets
+    (states._rotate_table); the seed and every _ANCHOR_STEPS-th step,
+    counted from the seed so that no line depends on its batch, build it
+    exactly.  Past that range every stage and accepted point builds its
+    own table.
     """
-    if not isinstance(field, TableField):
 
-        def at(p):
-            # a plain callable may return scalar components, which broadcast
-            v, j = field(Event(p[:, 0], p[:, 1])), np.empty_like(p)
-            j[:, 0], j[:, 1] = v.v0, v.v1
-            return j
+    def __init__(self, field: TableField, step: float):
+        self.state, self.read, self.rows = field.state, field.from_table, field.rows
+        rate = np.hypot(self.state.momenta, self.state.energies).max()
+        self.rotate = step * rate <= ROTATION_RANGE
 
-        return lambda p: (at(p), lambda d: at(p + d))
+    def accept(self, pos, delta, k):
+        """The field at the accepted points pos, delta past the previous ones, after k steps."""
+        if self.rotate and k % _ANCHOR_STEPS:
+            self.table = _rotate_table(self.state, self.table, delta)
+        else:
+            self.table = _phase_table(self.state, pos[:, 0], pos[:, 1])
+        self.pos = pos
+        return np.column_stack(self.read(pos[:, 0], self.table))
 
-    state, from_table = field.state, field.from_table
-    rotate = step * np.hypot(state.momenta, state.energies).max() <= ROTATION_RANGE
+    def near(self, d):
+        """The field at pos + d, d a stage offset at most one step long."""
+        t, x = (self.pos + d).T
+        if self.rotate:
+            return np.column_stack(self.read(t, _rotate_table(self.state, self.table, d)))
+        return np.column_stack(self.read(t, _phase_table(self.state, t, x)))
 
-    def evaluate(p):
-        table = _phase_table(state, p[:, 0], p[:, 1])
+    def keep(self, live, seeds):
+        """Drop the rows of stopped lines; seeds are the seed indices of the rest."""
+        self.table = self.table[live]
+        self.read = self.rows(seeds)
 
-        def near(d):
-            t, x = (p + d).T
-            stage = _rotate_table(state, table, d) if rotate else _phase_table(state, t, x)
-            return np.column_stack(from_table(t, stage))
 
-        return np.column_stack(from_table(p[:, 0], table)), near
+class _PlainStages:
+    """A plain callable along the live lines, called with every seed's row.
 
-    return evaluate
+    Row i of each call is seed i, so an elementwise field needs no row
+    bookkeeping; a stopped line's row stays at its last accepted point.
+    Scalar components broadcast.
+    """
+
+    def __init__(self, field: FieldHandle, n: int):
+        self.field, self.frozen, self.seeds = field, np.zeros((n, 2)), np.arange(n)
+
+    def _at(self, p):
+        full = self.frozen.copy()
+        full[self.seeds] = p
+        v, j = self.field(Event(full[:, 0], full[:, 1])), np.empty_like(full)
+        j[:, 0], j[:, 1] = v.v0, v.v1
+        return j[self.seeds]
+
+    def accept(self, pos, delta, k):
+        self.pos = pos
+        self.frozen[self.seeds] = pos
+        return self._at(pos)
+
+    def near(self, d):
+        return self._at(self.pos + d)
+
+    def keep(self, live, seeds):
+        self.seeds = seeds
 
 
 def trace(
@@ -207,8 +265,10 @@ def trace_many(
     step.  A line stops on box exit, node (|j| below node_floor, default
     1e-10 of the field scale at its seed), or after max_steps.
 
-    All lines advance in lockstep, one field call per stage for every seed;
-    a stopped line keeps its row, frozen, and its stage values are discarded.
+    All live lines advance in lockstep, one field evaluation per stage;
+    a line that stops leaves the batch, and each step's results are
+    scattered back to the rows of their seeds.  A plain callable still
+    gets every seed's row, a stopped line's frozen at its last point.
     """
     if not 0 < step < np.inf:
         raise ValueError("step must be positive and finite")
@@ -222,7 +282,11 @@ def trace_many(
     if not inside.all():
         raise ValueError(f"seed {Event(*pos[np.argmin(inside)].tolist())} lies outside the box")
 
-    evaluate = _stage_evaluator(field, step)
+    n_seeds = len(pos)
+    if isinstance(field, TableField):
+        stages = _TableStages(field, step)
+    else:
+        stages = _PlainStages(field, n_seeds)
 
     def direction(j, ref):
         # unit rows sign-aligned with ref, zero rows where |j| is at the floor
@@ -231,42 +295,49 @@ def trace_many(
         d = j / np.where(ok, n, np.inf)[:, None]
         return np.where(((d * ref).sum(axis=1) < 0.0)[:, None], -d, d), ok
 
-    j, near = evaluate(pos)
+    j = stages.accept(pos, None, 0)
     scale = np.hypot(j[:, 0], j[:, 1])
-    floor = 1e-10 * scale if node_floor is None else float(node_floor)
+    floor = 1e-10 * scale if node_floor is None else np.full(n_seeds, float(node_floor))
     if np.any((scale <= floor) | (scale == 0.0)):
         raise NodeError(f"field magnitude {scale.min():.3e} at the seed is below the floor")
     tangent = j / scale[:, None]
-    live = np.ones(len(pos), dtype=bool)
-    n_steps = np.full(len(pos), max_steps)
-    stop = np.full(len(pos), "max-steps", dtype=object)
+    rows = np.arange(n_seeds)  # the seed index of each live line
+    n_steps = np.full(n_seeds, max_steps)
+    stop = np.full(n_seeds, "max-steps", dtype=object)
     path, densities, deltas = [pos], [j[:, 0]], []
 
     for k in range(max_steps):
         k1, ok1 = direction(j, tangent)
-        k2, ok2 = direction(near(0.5 * step * k1), tangent)
-        k3, ok3 = direction(near(0.5 * step * k2), tangent)
-        k4, ok4 = direction(near(step * k3), tangent)
+        k2, ok2 = direction(stages.near(0.5 * step * k1), tangent)
+        k3, ok3 = direction(stages.near(0.5 * step * k2), tangent)
+        k4, ok4 = direction(stages.near(step * k3), tangent)
         delta = (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        deltas.append(delta)
         norm = np.hypot(delta[:, 0], delta[:, 1])
         new = pos + delta
         # a zero delta means the stages cancelled pairwise; only possible hard against a node
         ok = ok1 & ok2 & ok3 & ok4 & (norm > 0.0)
-        ended = live & ~(ok & ((lo <= new) & (new <= hi)).all(axis=1))
-        if ended.any():
-            stop[ended] = np.where(ok[ended], "box-exit", "node")
+        live = ok & ((lo <= new) & (new <= hi)).all(axis=1)
+        step_deltas = np.zeros((n_seeds, 2))
+        step_deltas[rows] = delta
+        deltas.append(step_deltas)
+        if not live.all():
+            ended = rows[~live]
+            stop[ended] = np.where(ok[~live], "box-exit", "node")
             n_steps[ended] = k
-            live &= ~ended
-            if not live.any():
+            rows = rows[live]
+            if not rows.size:
                 break
-        pos = np.where(live[:, None], new, pos)
-        j, near = evaluate(pos)
-        np.divide(delta, norm[:, None], out=tangent, where=live[:, None])
-        path.append(pos)
-        densities.append(j[:, 0])
+            new, delta, norm = new[live], delta[live], norm[live]
+            floor = floor[live]
+            stages.keep(live, rows)
+        pos = new
+        j = stages.accept(pos, delta, k + 1)
+        tangent = delta / norm[:, None]
+        path.append(path[-1].copy())
+        path[-1][rows] = pos
+        densities.append(densities[-1].copy())
+        densities[-1][rows] = j[:, 0]
 
-    del near  # the last accepted table; the lines need only the arrays
     path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
     arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
     flips = densities[:-1] * densities[1:] < 0

@@ -96,6 +96,28 @@ def test_trajectories_zero_probability_outcome(tmp_path, capsys):
     assert "floor" in capsys.readouterr().err
 
 
+def test_density_beyond_resolvable_range_is_domain_error(tmp_path, capsys):
+    # max|x| + |t| past pi / (max node gap) of the grid would sample aliasing noise
+    out = tmp_path / "out"
+    for t in ("1e9", "-77"):
+        rc = main(["density", "--scenario", "single_rest", "--out", str(out), f"--t={t}"])
+        assert rc == 3
+        assert "resolvable range 86.7" in capsys.readouterr().err
+        assert not (out / "density.csv").exists()
+    rc = main(["density", "--scenario", "single_rest", "--out", str(out), "--t=-76"])
+    assert rc == 0
+
+
+def test_conditional_seed_step_past_measurement_time(tmp_path, capsys):
+    rc = main([
+        "trajectories", "--scenario", "s1_conditional", "--out", str(tmp_path / "out"),
+        "--seed=0,0,1", "--step", "10",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--step 10" in err and "T = 2" in err
+
+
 def test_trajectories_seed_outside_box(tmp_path):
     rc = main([
         "trajectories", "--scenario", "s1_negative_density",

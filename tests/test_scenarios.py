@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from kgflow import ScenarioError, TruncationError, load_scenario
+from kgflow import Box, GridSpec, ScenarioError, TruncationError, load_scenario
+from kgflow._quad import gauss_panels
 from kgflow.scenarios import (
     BUNDLED_NAMES,
     build_ensemble,
@@ -98,6 +99,28 @@ def test_truncated_grid_flagged_and_enforced(tmp_path):
         build_state(sc)
     state = build_state(sc, check_truncation=False)
     assert np.isfinite(state.amplitudes).all()
+
+
+def test_reach_beyond_resolvable_range_rejected():
+    bound = GridSpec(**GOOD["grid"]).resolvable_range
+    gaps = np.diff(gauss_panels(-3.0, 3.0, 8, 32)[0])
+    assert bound == pytest.approx(np.pi / gaps.max(), rel=1e-15)
+    # max|x| + max|t| of the box, with either end the farther one
+    for box in ({"t_lo": -1.0, "t_hi": 2.0, "x_lo": -8.0, "x_hi": bound - 1.5},
+                {"t_lo": -2.0, "t_hi": 1.0, "x_lo": 1.5 - bound, "x_hi": 8.0}):
+        with pytest.raises(ScenarioError, match="resolvable range"):
+            scenario_from_dict(clone(box=box))
+        box = dict(box, t_lo=-1.0, t_hi=1.0)
+        assert scenario_from_dict(clone(box=box)).box == Box(**box)
+    for q_lo, q_hi in ((-1.0, bound + 0.5), (-bound - 0.5, 1.0)):
+        with pytest.raises(ScenarioError, match="resolvable range"):
+            scenario_from_dict(clone(final={"T": 2.0, "q_lo": q_lo, "q_hi": q_hi, "n_q": 9}))
+    final = {"T": 2.0, "q_lo": -bound, "q_hi": bound, "n_q": 9}
+    assert scenario_from_dict(clone(final=final)).final.q_hi == bound
+    # the bundled scenarios reach 11 to 19 on grids that resolve about 84 and 87
+    for name in BUNDLED_NAMES:
+        expected = 83.9 if name.startswith("s1_") else 86.7
+        assert load_scenario(name).grid.resolvable_range == pytest.approx(expected, abs=0.05)
 
 
 def test_build_ensemble_requires_final(rest_scenario, s1_scenario):

@@ -17,6 +17,7 @@ from kgflow import (
 )
 from kgflow._quad import gauss_panels
 from kgflow.states import (
+    _ANCHOR_STEPS,
     ROTATION_RANGE,
     Lattice,
     _phase_table,
@@ -147,6 +148,27 @@ def test_rotated_table_matches_phase_table_to_range_edge(s1_state):
     rotated = _rotate_table(s1_state, _phase_table(s1_state, t, x), offsets)
     exact = _phase_table(s1_state, t + offsets[:, 0], x + offsets[:, 1])
     assert np.abs(rotated - exact).max() <= 1e-13
+
+
+def test_rotation_chain_reanchored_stays_at_phase_table(s1_state):
+    # the tracer's accepted-point tables along a line that loops round a node:
+    # each rotated from the last by a step-0.02 offset, exact every _ANCHOR_STEPS
+    n = 20000
+    angle = 0.04 * np.arange(n)
+    offsets = 0.02 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    points = np.cumsum(np.vstack([[0.3, -1.2], offsets]), axis=0)
+    worst = 0.0
+    for anchor in range(0, n + 1, _ANCHOR_STEPS):
+        start = points[anchor : anchor + 1]
+        table = _phase_table(s1_state, start[:, 0], start[:, 1])
+        chain = [table]
+        for d in offsets[anchor : min(anchor + _ANCHOR_STEPS - 1, n)]:
+            table = _rotate_table(s1_state, table, d[None])
+            chain.append(table)
+        run = points[anchor : anchor + len(chain)]
+        exact = _phase_table(s1_state, run[:, 0], run[:, 1])
+        worst = max(worst, np.abs(np.vstack(chain) - exact).max())
+    assert worst <= 1e-13
 
 
 def test_psi_real_positive_at_origin(rest_packet):

@@ -19,7 +19,7 @@ from kgflow import (
     trace_many,
 )
 from kgflow import trajectories
-from kgflow.states import ROTATION_RANGE
+from kgflow.states import _ANCHOR_STEPS, ROTATION_RANGE
 from kgflow.trajectories import conditional_field
 from kgflow.conditional import conditional_current_grid, make_final_outcome
 
@@ -317,29 +317,115 @@ def test_stacked_conditional_field_is_diagonal_of_grid(bundled_states, n):
         conditional_field(state, outcome, amplitude_floor=1.0)(Event(t, x))
 
 
-def test_stage_tables_rotate_from_one_exact_table_per_step(bundled_states, monkeypatch):
+def _counting_table_builders(monkeypatch):
+    """Patch the tracer's table builders to record the rows of every table they build."""
+    built = {"exact": [], "rotated": []}
+    exact_table, rotate_table = trajectories._phase_table, trajectories._rotate_table
+
+    def exact(state, t, x):
+        built["exact"].append(np.size(x))
+        return exact_table(state, t, x)
+
+    def rotated(state, table, offsets):
+        built["rotated"].append(len(table))
+        return rotate_table(state, table, offsets)
+
+    monkeypatch.setattr(trajectories, "_phase_table", exact)
+    monkeypatch.setattr(trajectories, "_rotate_table", rotated)
+    return built
+
+
+def test_tables_rotate_between_exact_anchors(bundled_states, monkeypatch):
     state = bundled_states["s1_negative_density"]
     field = standard_field(state)
     seeds = [Event(-1.0, -2.0), Event(0.5, 0.3), Event(2.0, 4.0)]
-    n_steps = 40
+    n_steps = 2 * _ANCHOR_STEPS + 12
     reach = ROTATION_RANGE / np.hypot(state.momenta, state.energies).max()
-    built = []
-    exact_table = trajectories._phase_table
-
-    def counting(*args):
-        built.append(1)
-        return exact_table(*args)
-
-    monkeypatch.setattr(trajectories, "_phase_table", counting)
-    # step 0.02 rotates all three stages; a step past the range builds every stage's table
-    for step, tables_per_step in ((0.02, 1), (1.25 * reach, 4)):
-        built.clear()
+    built = _counting_table_builders(monkeypatch)
+    # step 0.02 rotates every table but the seed's and each _ANCHOR_STEPS-th
+    # accepted point's; a step past the range builds every stage's table
+    anchored = 1 + n_steps // _ANCHOR_STEPS
+    for step, exact_per_line in ((0.02, anchored), (1.25 * reach, 1 + 4 * n_steps)):
+        built["exact"].clear()
         lines = trace_many(field, seeds, step, n_steps, WIDE)
         assert {line.stop_reason for line in lines} == {"max-steps"}
-        assert len(built) == 1 + tables_per_step * n_steps
-    # the rotated stages trace the same lines as a plain callable, which takes exact tables
+        assert built["exact"] == [len(seeds)] * exact_per_line
+    # the chained tables trace the same lines as a plain callable, which takes exact tables
     monkeypatch.undo()
     rotated = trace_many(field, seeds, 0.02, n_steps, WIDE)
     plain = trace_many(lambda e: field(e), seeds, 0.02, n_steps, WIDE)
     for line, exact in zip(rotated, plain):
         assert_same_line(line, exact)
+
+
+def test_stopped_lines_leave_the_batch(bundled_states, monkeypatch):
+    # lines that stop at different steps: a node, two box exits and three
+    # max-steps lines of the standard field, then a stacked conditional field
+    standard = standard_field(bundled_states["s1_negative_density"])
+    state = bundled_states["s1_conditional"]
+    qs = [-2.0, 1.0, 4.0, 0.0, 5.0]
+    stacked = conditional_field(state, make_final_outcome(qs, 2.0, state))
+    batches = [
+        ([standard] * 6, standard, Box(-1.0, 3.5, -4.0, 10.0), 1e-4,
+         [(2.9, 9.45), (0.0, -1.05), (-0.5, 2.0), (3.0, -3.5), (0.5, 9.5), (-0.9, 0.0)],
+         {"node", "box-exit", "max-steps"}),
+        ([conditional_field(state, make_final_outcome(q, 2.0, state)) for q in qs], stacked,
+         Box(-2.0, 2.0 - 0.02, -6.0, 6.0), None,
+         [(0.0, -1.0), (0.5, 0.5), (-1.0, 2.0), (1.5, -5.5), (-0.3, 3.0)],
+         {"box-exit", "max-steps"}),
+    ]
+    n_steps = 150
+    for alone, field, box, floor, seeds, reasons in batches:
+        seeds = [Event(*seed) for seed in seeds]
+        built = _counting_table_builders(monkeypatch)
+        lines = trace_many(field, seeds, 0.02, n_steps, box, node_floor=floor)
+        monkeypatch.undo()
+        stopped = [line.stop_reason != "max-steps" for line in lines]
+        steps = np.array([len(line.codes) for line in lines])
+        assert {line.stop_reason for line in lines} == reasons
+        assert len(set(steps[stopped])) == sum(stopped) >= 2
+        # a line takes three stage tables per step it tries and one table per
+        # accepted point, its seed's included, and none once it has stopped
+        tables = 3 * (steps + stopped) + steps + 1
+        assert sum(built["exact"]) + sum(built["rotated"]) == tables.sum()
+        assert sum(built["exact"]) == (1 + steps // _ANCHOR_STEPS).sum()
+        for one, seed, line in zip(alone, seeds, lines):
+            assert_same_line(line, trace(one, seed, 0.02, n_steps, box, node_floor=floor))
+
+    # a plain callable still gets every seed's row, a stopped line's at its last point
+    _, field, box, floor, seeds, _ = batches[0]
+    calls = []
+
+    def plain(e):
+        calls.append(np.column_stack([e.t, e.x]))
+        return field(e)
+
+    lines = trace_many(plain, [Event(*seed) for seed in seeds], 0.02, n_steps, box, floor)
+    assert {len(c) for c in calls} == {len(seeds)}
+    for i, line in enumerate(lines):
+        if line.stop_reason != "max-steps":
+            assert np.array_equal(calls[-1][i], line.points[-1])
+
+
+def test_chained_tables_follow_the_exact_node_line(node_trajectory, s1_field, s1_scenario):
+    # the README node seed: 917 steps of step 0.01 round a current node
+    def plain(e):
+        return s1_field(e)
+
+    seed, box = Event(2.9, 9.45), s1_scenario.box
+    exact = trace(plain, seed, 0.01, 4000, box)
+    assert node_trajectory.stop_reason == exact.stop_reason == "box-exit"
+    assert len(node_trajectory.points) == len(exact.points) > 14 * _ANCHOR_STEPS
+    assert node_trajectory.reversals == exact.reversals
+    assert node_trajectory.classes == exact.classes
+    # anchors count steps from the seed, so a shorter trace is a prefix of the
+    # longer one; over its first 300 steps the line agrees with the exact path
+    head = trace(s1_field, seed, 0.01, 300, box)
+    assert np.array_equal(head.points, node_trajectory.points[:301])
+    assert_same_line(head, trace(plain, seed, 0.01, 300, box))
+    # past that, each close pass by the node magnifies rounding: the exact
+    # lines from the seed and from its neighbouring float part by about 2e-11
+    shifted = trace(plain, Event(2.9, np.nextafter(9.45, 10.0)), 0.01, 4000, box)
+    spread = np.abs(shifted.points - exact.points).max()
+    assert spread > 1e-12
+    assert np.abs(node_trajectory.points - exact.points).max() <= 10 * spread
