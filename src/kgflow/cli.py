@@ -130,6 +130,8 @@ def _parse_seeds(raw_seeds, scenario: Scenario):
             values = [float(p) for p in parts]
         except ValueError as err:
             raise ValueError(f"seed {text!r} has a non-numeric component") from err
+        if not np.isfinite(values).all():
+            raise ValueError(f"seed {text!r} has a non-finite component")
         q = values[2] if len(values) == 3 else None
         seeds.append((Event(values[0], values[1]), q))
     return seeds

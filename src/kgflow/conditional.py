@@ -86,6 +86,19 @@ class OutcomeEnsemble:
         )
 
 
+def _outcome_rows(f, rows) -> FinalOutcome:
+    """The outcomes at index rows of a stacked FinalOutcome or an ensemble, stacked.
+
+    Their positions, backward-state amplitudes and <f|i> share the leading
+    outcome axis, and all three take the same rows.
+    """
+    q = f.q_grid if isinstance(f, OutcomeEnsemble) else f.q_value
+    back = f.backward_state
+    return FinalOutcome(
+        q[rows], f.T, replace(back, amplitudes=back.amplitudes[rows]), f.amplitude_fi[rows]
+    )
+
+
 def _outcome_states(template: SpectralState, qs, T: float):
     """Backward states <p|f> for positions qs at time T, and each <f|i>.
 
@@ -100,7 +113,7 @@ def _outcome_states(template: SpectralState, qs, T: float):
     """
     q_bound = _resolvable_range(template.momenta)
     q_far = float(np.max(np.abs(qs)))
-    if q_far > q_bound:
+    if not q_far <= q_bound:  # a NaN position fails here too
         raise ValueError(
             f"outcome position {q_far} is beyond the grid's resolvable range "
             f"|q| <= {q_bound:.1f}"

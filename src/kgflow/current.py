@@ -109,29 +109,15 @@ def scan_negative_density(
         raise ValueError("x_lo must be below x_hi")
     xs = np.linspace(x_lo, x_hi, n)
     j0, _ = current_grid(state, t, xs)
-    neg = j0 < 0
-    intervals = []
-    k = 0
-    while k < n:
-        if not neg[k]:
-            k += 1
-            continue
-        start = k
-        while k + 1 < n and neg[k + 1]:
-            k += 1
-        end = k
-        lo = x_lo if start == 0 else 0.5 * (xs[start - 1] + xs[start])
-        hi = x_hi if end == n - 1 else 0.5 * (xs[end] + xs[end + 1])
-        intervals.append(
-            DensityInterval(
-                t=float(t),
-                x_lo=float(lo),
-                x_hi=float(hi),
-                min_j0=float(j0[start : end + 1].min()),
-            )
+    edges = np.r_[x_lo, 0.5 * (xs[:-1] + xs[1:]), x_hi]  # sample k spans edges[k : k + 2]
+    # the padded mask changes value at each run's first sample and one past its last
+    starts, stops = np.flatnonzero(np.diff(np.r_[False, j0 < 0, False])).reshape(-1, 2).T
+    return [
+        DensityInterval(
+            t=float(t), x_lo=float(edges[a]), x_hi=float(edges[b]), min_j0=float(j0[a:b].min())
         )
-        k += 1
-    return intervals
+        for a, b in zip(starts.tolist(), stops.tolist())
+    ]
 
 
 # CausalClass and its values in definition order: forward, backward, spacelike, lightlike, null

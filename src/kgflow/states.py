@@ -16,12 +16,10 @@ time t times a coefficient matrix whose columns are built from the
 amplitudes.  The tracer holds its tables itself and reads them through
 `_table_sum`, or, for its stacked conditional field, row i against
 outcome i only; the public evaluators take positions, never a table.
-Its RK4 stages and its next accepted point lie within one step of an
-accepted point, so `_rotate_table` gets their tables from that point's
-table: a rotation by exp(i(p dx - p0 dt)) whose cosine and sine are
-Taylor polynomials, exact to rounding for |p dx - p0 dt| <=
-ROTATION_RANGE.  An exact table every _ANCHOR_STEPS accepted points ends
-each chain of rotations before its rounding grows.
+`_rotate_table` gets the tables of its RK4 stages and next accepted
+point from the last accepted point's, by a rotation exp(i(p dx - p0 dt))
+built from Taylor polynomials.  An exact table every _ANCHOR_STEPS
+accepted points ends each chain of rotations before its rounding grows.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -300,12 +298,18 @@ def _rotate_table(state: SpectralState, table, offsets):
     offsets (..., 2) holds (dt, dx) for each row of table (..., K).  The
     result is table * exp(i theta), theta = p dx - p0 dt, with cos theta
     and sin theta from real Taylor polynomials that are exact to rounding
-    for |theta| <= ROTATION_RANGE.  |theta| <= |offset| sqrt(p^2 + p0^2),
-    so the caller keeps offsets within ROTATION_RANGE over the largest
-    sqrt(p^2 + p0^2) of the grid.
+    for |theta| <= ROTATION_RANGE.  Since |p| < p0, |theta| <= (|dt| +
+    |dx|) max p0; where that bound exceeds the range, theta is halved h
+    times to fit and the rotation squared h times (scaling and squaring).
     """
-    # three (..., K) real buffers, reused: this runs at every RK4 stage
     offsets = np.asarray(offsets, dtype=float)
+    # momenta increase, so the largest p0 is at an end of the grid
+    bound = np.abs(offsets).sum(axis=-1).max() * max(state.energies[0], state.energies[-1])
+    halvings = 0
+    if bound > ROTATION_RANGE:  # scaling by a power of two is exact
+        halvings = math.ceil(math.log2(bound / ROTATION_RANGE))
+        offsets = offsets * 0.5**halvings
+    # three (..., K) real buffers, reused: this runs at every RK4 stage
     theta = offsets[..., 1:] * state.momenta
     sq = offsets[..., :1] * state.energies
     theta -= sq
@@ -315,6 +319,8 @@ def _rotate_table(state: SpectralState, table, offsets):
     rotation = np.empty(theta.shape, dtype=complex)
     rotation.real = _horner(_COS_TAYLOR, sq, out=theta)
     rotation.imag = sin
+    for _ in range(halvings):
+        np.square(rotation, out=rotation)
     rotation *= table
     return rotation
 

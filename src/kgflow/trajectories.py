@@ -21,19 +21,14 @@ which can also read the field off the phase table exp(-i(p0 t - p x)),
 for the live lines' rows alone.  The tracer builds that table exactly
 only at the seed and at every states._ANCHOR_STEPS-th (64th) accepted
 point.  Every other table, of an RK4 stage or of the next accepted
-point, is the last accepted one rotated through exp(i(p dx - p0 dt)),
-from real Taylor polynomials instead of exponentials.  Rounding grows
-along a chain of rotations, and the anchors keep it near that of one
-rotation, about 1e-14.  The polynomials cover |p dx - p0 dt| <=
-states.ROTATION_RANGE (0.25); every offset is at most one step long, so
-a step beyond ROTATION_RANGE / max sqrt(p^2 + p0^2) (0.038 on the
-bundled s1 grids) makes every stage and accepted point build its own
-table instead, decided once per call.
+point, is the last accepted one rotated through exp(i(p dx - p0 dt))
+(states._rotate_table), at any step length.  Rounding grows along a
+chain of rotations, and the anchors keep it near that of one rotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -41,10 +36,9 @@ import numpy as np
 
 from .errors import NodeError
 from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
-from .conditional import FinalOutcome, conditional_current_rows
+from .conditional import FinalOutcome, _outcome_rows, conditional_current_rows
 from .states import (
     _ANCHOR_STEPS,
-    ROTATION_RANGE,
     Event,
     FourVector,
     SpectralState,
@@ -154,13 +148,7 @@ def conditional_field(
     def rows(seeds):
         if np.size(outcome.q_value) == 1:  # one outcome pairs with every row
             return reader(outcome)
-        back = outcome.backward_state
-        return reader(replace(
-            outcome,
-            q_value=outcome.q_value[seeds],
-            backward_state=replace(back, amplitudes=back.amplitudes[seeds]),
-            amplitude_fi=outcome.amplitude_fi[seeds],
-        ))
+        return reader(_outcome_rows(outcome, seeds))
 
     from_table = reader(outcome)
     return TableField(
@@ -171,22 +159,18 @@ def conditional_field(
 class _TableStages:
     """A TableField along the live lines, from the phase table at their accepted points.
 
-    When one step keeps |theta| within ROTATION_RANGE, the RK4 stages and
-    the next accepted point rotate that table by their offsets
-    (states._rotate_table); the seed and every _ANCHOR_STEPS-th step,
-    counted from the seed so that no line depends on its batch, build it
-    exactly.  Past that range every stage and accepted point builds its
-    own table.
+    The RK4 stages and the next accepted point rotate that table by their
+    offsets (states._rotate_table); the seed and every _ANCHOR_STEPS-th
+    step, counted from the seed so that no line depends on its batch,
+    build it exactly.
     """
 
-    def __init__(self, field: TableField, step: float):
+    def __init__(self, field: TableField):
         self.state, self.read, self.rows = field.state, field.from_table, field.rows
-        rate = np.hypot(self.state.momenta, self.state.energies).max()
-        self.rotate = step * rate <= ROTATION_RANGE
 
     def accept(self, pos, delta, k):
         """The field at the accepted points pos, delta past the previous ones, after k steps."""
-        if self.rotate and k % _ANCHOR_STEPS:
+        if k % _ANCHOR_STEPS:
             self.table = _rotate_table(self.state, self.table, delta)
         else:
             self.table = _phase_table(self.state, pos[:, 0], pos[:, 1])
@@ -194,11 +178,9 @@ class _TableStages:
         return np.column_stack(self.read(pos[:, 0], self.table))
 
     def near(self, d):
-        """The field at pos + d, d a stage offset at most one step long."""
-        t, x = (self.pos + d).T
-        if self.rotate:
-            return np.column_stack(self.read(t, _rotate_table(self.state, self.table, d)))
-        return np.column_stack(self.read(t, _phase_table(self.state, t, x)))
+        """The field at pos + d, d a stage offset."""
+        t = self.pos[:, 0] + d[:, 0]
+        return np.column_stack(self.read(t, _rotate_table(self.state, self.table, d)))
 
     def keep(self, live, seeds):
         """Drop the rows of stopped lines; seeds are the seed indices of the rest."""
@@ -284,7 +266,7 @@ def trace_many(
 
     n_seeds = len(pos)
     if isinstance(field, TableField):
-        stages = _TableStages(field, step)
+        stages = _TableStages(field)
     else:
         stages = _PlainStages(field, n_seeds)
 

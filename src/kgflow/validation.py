@@ -13,14 +13,13 @@ true divergence with the leading h^2 truncation term removed.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
 
 from ._quad import _legendre_rule
 from .conditional import (
-    FinalOutcome,
+    _outcome_rows,
     decompose_check,
     outcome_probabilities,
     weighted_density_grid,
@@ -203,11 +202,7 @@ def conditional_normalization_defect(scenario, state, ensemble, keep, times) -> 
     hi = max(hi, float(ensemble.q_grid.max()) + margin)
     panels = max(96, int(np.ceil((hi - lo) / 0.5)))
     xs, w = _gauss_lattice(lo, hi, panels, 16)
-    back = ensemble.backward_state
-    kept = FinalOutcome(  # the kept outcomes as one stacked outcome
-        ensemble.q_grid[keep], ensemble.T, replace(back, amplitudes=back.amplitudes[keep]),
-        ensemble.amplitude_fi[keep],
-    )
+    kept = _outcome_rows(ensemble, keep)
     a2 = np.abs(kept.amplitude_fi) ** 2
     worst = 0.0
     for t in times:

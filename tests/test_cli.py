@@ -126,12 +126,14 @@ def test_trajectories_seed_outside_box(tmp_path):
     assert rc == 2
 
 
-def test_trajectories_bad_seed_syntax(tmp_path):
-    rc = main([
-        "trajectories", "--scenario", "s1_negative_density",
-        "--out", str(tmp_path / "out"), "--seed", "1;2",
-    ])
-    assert rc == 2
+def test_trajectories_bad_seed_syntax(tmp_path, capsys):
+    for seed in ("1;2", "0,0,nan", "0,inf", "1,x"):
+        rc = main([
+            "trajectories", "--scenario", "s1_conditional",
+            "--out", str(tmp_path / "out"), "--seed", seed,
+        ])
+        assert rc == 2
+        assert f"seed {seed!r}" in capsys.readouterr().err
 
 
 def test_validate_bundled_scenario_passes(tmp_path):

@@ -72,8 +72,9 @@ def test_distant_outcomes_nearly_orthogonal():
 
 
 def test_outcome_beyond_grid_resolution_rejected(s1_state):
-    with pytest.raises(ValueError):
-        make_final_outcome(500.0, 2.0, s1_state)
+    for q in (500.0, np.nan, [0.0, np.nan]):
+        with pytest.raises(ValueError, match="outcome position .* resolvable range"):
+            make_final_outcome(q, 2.0, s1_state)
 
 
 def test_collapse_identity(s1_state):

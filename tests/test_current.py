@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from kgflow import (
     rest_density,
     scan_negative_density,
 )
-from kgflow.current import classify_many, current_grid
+from kgflow.current import DensityInterval, classify_many, current_grid
 from kgflow.states import evaluate_dpsi, evaluate_psi
 from kgflow._quad import gauss_panels
 
@@ -94,6 +96,30 @@ def test_negative_density_depth_matches_plane_wave_oracle(s1_state):
     assert 2.5 * lo < deepest < 0.4 * lo
     j0, _ = current_grid(s1_state, 0.0, np.linspace(-8.0, 8.0, 1601))
     assert abs(j0.max() - hi) / hi < 0.05
+
+
+def test_scan_runs_match_per_sample_walk(rest_packet, monkeypatch):
+    # prescribed signs: runs at either end, one-sample runs, all negative, none
+    module = importlib.import_module("kgflow.current")
+    rng = np.random.default_rng(3)
+    x_lo, x_hi = -2.0, 3.0
+    for signs in ("--++-+--", "+-+-+-+", "-+", "+-", "------", "+++++", "+---+"):
+        n = len(signs)
+        neg = np.array([c == "-" for c in signs])
+        j0 = np.where(neg, -1.0, 1.0) * rng.uniform(0.1, 2.0, n)
+        monkeypatch.setattr(module, "current_grid", lambda state, t, x: (j0, np.zeros_like(j0)))
+        xs = np.linspace(x_lo, x_hi, n)
+        want, start = [], None
+        for k in range(n):
+            if neg[k] and start is None:
+                start = k
+            if start is not None and (k == n - 1 or not neg[k + 1]):
+                lo = x_lo if start == 0 else 0.5 * (xs[start - 1] + xs[start])
+                hi = x_hi if k == n - 1 else 0.5 * (xs[k] + xs[k + 1])
+                min_j0 = float(j0[start : k + 1].min())
+                want.append(DensityInterval(0.5, float(lo), float(hi), min_j0))
+                start = None
+        assert scan_negative_density(rest_packet, 0.5, x_lo, x_hi, n) == want
 
 
 def test_scan_argument_errors(rest_packet):

@@ -134,20 +134,23 @@ def test_rotated_table_matches_phase_table_to_range_edge(s1_state):
     n = 400
     t, x = rng.uniform(-5.0, 5.0, n), rng.uniform(-12.0, 12.0, n)
     rate = np.hypot(s1_state.momenta, s1_state.energies)
-    # random directions at random lengths up to the range edge, then offsets
-    # along the fastest mode's own direction, where |theta| is exactly the range
-    angle = rng.uniform(0.0, 2.0 * np.pi, n)
-    length = ROTATION_RANGE / rate.max() * np.sqrt(rng.uniform(0.0, 1.0, n))
-    length[-100:] = ROTATION_RANGE / rate.max()
-    offsets = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     fastest = np.argmax(rate)
     edge = np.array([-s1_state.energies[fastest], s1_state.momenta[fastest]]) / rate.max()
-    offsets[-50:] = np.outer(rng.choice([-1.0, 1.0], 50), edge) * ROTATION_RANGE / rate.max()
-    theta = offsets @ np.stack((-s1_state.energies, s1_state.momenta))
-    assert np.abs(theta).max() == pytest.approx(ROTATION_RANGE, rel=1e-12)
-    rotated = _rotate_table(s1_state, _phase_table(s1_state, t, x), offsets)
-    exact = _phase_table(s1_state, t + offsets[:, 0], x + offsets[:, 1])
-    assert np.abs(rotated - exact).max() <= 1e-13
+    # half the range takes the polynomials alone; past it, theta is halved
+    # and the rotation squared back, up to 40 times the range
+    for reach in (0.5, 1.0, 3.0, 40.0):
+        # random directions at random lengths up to reach times the range, then
+        # offsets along the fastest mode's own direction, where |theta| is largest
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        length = reach * ROTATION_RANGE / rate.max() * np.sqrt(rng.uniform(0.0, 1.0, n))
+        length[-100:] = reach * ROTATION_RANGE / rate.max()
+        offsets = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        offsets[-50:] = np.outer(rng.choice([-1.0, 1.0], 50), edge) * length[-50:, None]
+        theta = offsets @ np.stack((-s1_state.energies, s1_state.momenta))
+        assert np.abs(theta).max() == pytest.approx(reach * ROTATION_RANGE, rel=1e-12)
+        rotated = _rotate_table(s1_state, _phase_table(s1_state, t, x), offsets)
+        exact = _phase_table(s1_state, t + offsets[:, 0], x + offsets[:, 1])
+        assert np.abs(rotated - exact).max() <= 1e-13
 
 
 def test_rotation_chain_reanchored_stays_at_phase_table(s1_state):

@@ -342,20 +342,20 @@ def test_tables_rotate_between_exact_anchors(bundled_states, monkeypatch):
     n_steps = 2 * _ANCHOR_STEPS + 12
     reach = ROTATION_RANGE / np.hypot(state.momenta, state.energies).max()
     built = _counting_table_builders(monkeypatch)
-    # step 0.02 rotates every table but the seed's and each _ANCHOR_STEPS-th
-    # accepted point's; a step past the range builds every stage's table
-    anchored = 1 + n_steps // _ANCHOR_STEPS
-    for step, exact_per_line in ((0.02, anchored), (1.25 * reach, 1 + 4 * n_steps)):
+    # every table but the seed's and each _ANCHOR_STEPS-th accepted point's is
+    # rotated, at step 0.02 and at a step past the range of one rotation alike
+    for step in (0.02, 1.25 * reach):
         built["exact"].clear()
         lines = trace_many(field, seeds, step, n_steps, WIDE)
         assert {line.stop_reason for line in lines} == {"max-steps"}
-        assert built["exact"] == [len(seeds)] * exact_per_line
+        assert built["exact"] == [len(seeds)] * (1 + n_steps // _ANCHOR_STEPS)
     # the chained tables trace the same lines as a plain callable, which takes exact tables
     monkeypatch.undo()
-    rotated = trace_many(field, seeds, 0.02, n_steps, WIDE)
-    plain = trace_many(lambda e: field(e), seeds, 0.02, n_steps, WIDE)
-    for line, exact in zip(rotated, plain):
-        assert_same_line(line, exact)
+    for step in (0.02, 1.25 * reach, 0.1):
+        rotated = trace_many(field, seeds, step, n_steps, WIDE)
+        plain = trace_many(lambda e: field(e), seeds, step, n_steps, WIDE)
+        for line, exact in zip(rotated, plain):
+            assert_same_line(line, exact)
 
 
 def test_stopped_lines_leave_the_batch(bundled_states, monkeypatch):
