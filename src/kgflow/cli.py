@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .conditional import make_final_outcome
-from .current import _CLASS_VALUES
+from .current import _CLASS_VALUES, current_grid
 from .errors import DomainError
-from .newton_wigner import KernelMode, bessel_k0, density_profile, position_kernel
+from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, load_scenario
 from .states import Event, uniform_lattice
 from .trajectories import (
@@ -108,8 +108,9 @@ def _run_density(args, scenario: Scenario, out: Path) -> int:
             f"resolvable range {bound:.1f}"
         )
     state = build_state(scenario)
-    profile = density_profile(state, args.t, uniform_lattice(lo, hi, args.n_x))
-    columns = (np.linspace(lo, hi, args.n_x), *profile)
+    xs = uniform_lattice(lo, hi, args.n_x)
+    j0, j1 = current_grid(state, args.t, xs)
+    columns = (np.linspace(lo, hi, args.n_x), j0, j1, nw_density_grid(state, xs, args.t))
     rows = zip(*(c.tolist() for c in columns))
     _write_csv(out / "density.csv", ["x", "j0", "j1", "nw_density"], rows)
     return 0

@@ -15,14 +15,13 @@ the exponential integral representation K0(z) = int_0^inf exp(-z cosh u) du.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import gauss_panels, gauss_panels_edges
 from .errors import DomainError
-from .current import _current_from
-from .states import GridSpec, SpectralState, _plane_wave_sum, psi_dpsi_grid
+from .states import GridSpec, SpectralState, _kernel_matrix, _plane_wave_sum
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,8 @@ def nw_amplitude(state: SpectralState, q: float, t: float) -> complex:
 
 def nw_amplitude_grid(state: SpectralState, qs, t: float):
     """Vectorized Newton-Wigner amplitude over an array of q values or a Lattice."""
-    return _plane_wave_sum(state, t, qs, (np.sqrt(state.energies) * state.amplitudes).T)
+    coeffs = (np.sqrt(state.energies) * state.amplitudes).T
+    return _plane_wave_sum(state, t, qs, _kernel_matrix(state, coeffs))
 
 
 def nw_density(state: SpectralState, q: float, t: float) -> float:
@@ -67,20 +67,8 @@ def nw_density(state: SpectralState, q: float, t: float) -> float:
 
 
 def nw_density_grid(state: SpectralState, qs, t: float):
-    """Vectorized Newton-Wigner density over an array of q values."""
+    """Vectorized Newton-Wigner density over an array of q values or a Lattice."""
     return np.abs(nw_amplitude_grid(state, qs, t)) ** 2
-
-
-def density_profile(state: SpectralState, t: float, xs):
-    """(j0, j1, Newton-Wigner density) over positions from one kernel call.
-
-    xs is an array of positions or a Lattice; uniform_lattice(lo, hi, n)
-    gives np.linspace(lo, hi, n) without building an n x K phase table.
-    """
-    both = np.stack([state.amplitudes, np.sqrt(state.energies) * state.amplitudes])
-    psi, d0, d1 = psi_dpsi_grid(replace(state, amplitudes=both), t, xs)
-    j0, j1 = _current_from(state.mass, psi[..., 0], d0[..., 0], d1[..., 0])
-    return j0, j1, np.abs(psi[..., 1]) ** 2
 
 
 def _kernel_relativistic(mass: float, delta: float) -> float:
@@ -97,24 +85,29 @@ def _kernel_relativistic(mass: float, delta: float) -> float:
     if d == 0:
         raise DomainError("equal-time kernel diverges logarithmically at zero separation")
     big_p = max(3000.0 / d, 30.0 * mass + 10.0)
+
+    # integration-by-parts corrections for int_P^inf cos(p d) f(p) dp; below
+    # d ~ 1e-81 the powers of P and d leave the float range and the sum is not finite
+    with np.errstate(all="ignore"):
+        u = big_p * big_p + mass * mass
+        f = u**-0.5
+        fp = -big_p * u**-1.5
+        fpp = (2 * big_p * big_p - mass * mass) * u**-2.5
+        fppp = 3 * big_p * (3 * mass * mass - 2 * big_p * big_p) * u**-3.5
+        s, c = np.sin(big_p * d), np.cos(big_p * d)
+        tail = -s * f / d - c * fp / d**2 + s * fpp / d**3 + c * fppp / d**4
+    if not np.isfinite(tail):
+        raise DomainError(f"separation {delta:g} is too small for the kernel's tail expansion")
+
     w_osc = np.pi / d
     edges = [0.0]
     while edges[-1] < big_p:
-        growth = max(0.5 * mass + 0.5 * edges[-1], 1e-3 * mass)
+        growth = 0.5 * mass + 0.5 * edges[-1]
         edges.append(edges[-1] + min(w_osc, growth))
     edges[-1] = big_p
     p, w = gauss_panels_edges(np.asarray(edges), 16)
     p0 = np.sqrt(p * p + mass * mass)
     head = float(np.sum(w * np.cos(p * d) / p0))
-
-    # integration-by-parts corrections for int_P^inf cos(p d) f(p) dp
-    u = big_p * big_p + mass * mass
-    f = u**-0.5
-    fp = -big_p * u**-1.5
-    fpp = (2 * big_p * big_p - mass * mass) * u**-2.5
-    fppp = 3 * big_p * (3 * mass * mass - 2 * big_p * big_p) * u**-3.5
-    s, c = np.sin(big_p * d), np.cos(big_p * d)
-    tail = -s * f / d - c * fp / d**2 + s * fpp / d**3 + c * fppp / d**4
     return (head + tail) / np.pi
 
 

@@ -12,10 +12,11 @@ phase exp(-i p0 t) enters only when a position amplitude is evaluated.
 Every position-space quantity in the package (psi and its derivatives,
 the Newton-Wigner amplitude, the conditional bilinear for one outcome or
 a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
-time t times a coefficient matrix whose columns are built from the
-amplitudes.  The tracer holds its tables itself and reads them through
-`_table_sum`, or, for its stacked conditional field, row i against
-outcome i only; the public evaluators take positions, never a table.
+time t times a coefficient matrix built from the amplitudes with the
+quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`).  The
+tracer holds its tables itself and multiplies them by the same matrices,
+or, for its stacked conditional field, row i by outcome i's rows only
+(`_row_columns`); the public evaluators take positions, never a table.
 `_rotate_table` gets the tables of its RK4 stages and next accepted
 point from the last accepted point's, by a rotation exp(i(p dx - p0 dt))
 built from Taylor polynomials.  An exact table every _ANCHOR_STEPS
@@ -132,23 +133,25 @@ class SpectralState:
 
     @cached_property
     def _psi_dpsi_columns(self):
-        """Kernel coefficients (K, ..., 3) of psi, d^0 psi, d^1 psi: a, -i p0 a, -i p a.
+        """Kernel matrix (K, ..., 3) of psi, d^0 psi, d^1 psi: a, -i p0 a, -i p a, weighted.
 
         Spectral differentiation: d^0 = d/dt and d^1 = -d/dx (metric (+, -)).
         """
         a = self.amplitudes
         cols = np.stack([a, -1j * self.energies * a, -1j * self.momenta * a], axis=-1)
-        return np.ascontiguousarray(np.moveaxis(cols, -2, 0))
+        return _kernel_matrix(self, np.moveaxis(cols, -2, 0))
 
     @cached_property
     def _row_columns(self):
-        """(..., K, 3): each stacked row's psi, d0, d1 coefficients, kernel weights folded in.
+        """_psi_dpsi_columns as (..., K, 3), for a batched product with one table row per row."""
+        return np.ascontiguousarray(np.moveaxis(self._psi_dpsi_columns, 0, -2))
 
-        The columns of _psi_dpsi_columns times w (2 pi)^-1/2, laid out for a
-        batched product against one phase-table row per stacked row.
-        """
-        a = (INV_SQRT_2PI * self.weights) * self.amplitudes
-        return np.stack([a, -1j * self.energies * a, -1j * self.momenta * a], axis=-1)
+
+def _kernel_matrix(state: SpectralState, coeffs):
+    """Mode coefficients coeffs (K, ...) times the kernel's weights w (2 pi)^-1/2, contiguous."""
+    k = state.momenta.size
+    weights = (INV_SQRT_2PI * state.weights)[:, None]
+    return (weights * coeffs.reshape(k, -1)).reshape(coeffs.shape)
 
 
 def _freeze(mass, momenta, amplitudes, weights) -> SpectralState:
@@ -325,45 +328,40 @@ def _rotate_table(state: SpectralState, table, offsets):
     return rotation
 
 
-def _table_sum(state: SpectralState, table, coeffs):
-    """The kernel's product sum_k w_k (2 pi)^-1/2 table[..., k] c_k on a table already built."""
-    k = state.momenta.size
-    matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(k, -1)
-    return (table @ matrix).reshape(table.shape[:-1] + coeffs.shape[1:])
+def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
+    """The evaluation kernel: sum_k <x|p_k> c_k at time t for every x, as table @ matrix.
 
-
-def _plane_wave_sum(state: SpectralState, t: float, xs, coeffs):
-    """The evaluation kernel: sum_k w_k <x|p_k> c_k at time t for every x.
-
-    coeffs (K, ...) holds mode coefficients on the state's grid; the result
-    has shape xs.shape + coeffs.shape[1:]; t is a scalar or broadcasts against
-    xs (one time per position).  The (n_x, K) phase table is built in place
-    once and multiplies the (K, m) coefficient matrix.
+    matrix (K, ...) holds mode coefficients on the state's grid with the
+    weights w_k (2 pi)^-1/2 already in them (_kernel_matrix); the result
+    has shape xs.shape + matrix.shape[1:]; t is a scalar or broadcasts
+    against xs (one time per position).  The (n_x, K) phase table is built
+    in place once and multiplies the (K, m) matrix.
 
     xs may instead be a Lattice at a scalar t; the result then has n rows.
     exp(i p (c + f)) = exp(i p c) exp(i p f) splits the table into an
     (n_a, K) coarse table A and an (n_b, K) fine table B: (n_a + n_b) K
     exponentials instead of n_a n_b K.  A narrow matrix (m < n_b) takes
-    the fold: A goes into the coefficients (n_a K m multiplies) and one
+    the fold: A goes into the matrix (n_a K m multiplies) and one
     product B @ C builds no n x K table.  A wide one takes the product
     table A[a] B[b], n K complex multiplies, times the matrix.
     """
-    if not isinstance(xs, Lattice):
-        return _table_sum(state, _phase_table(state, t, xs), coeffs)
     k = state.momenta.size
-    matrix = (INV_SQRT_2PI * state.weights)[:, None] * coeffs.reshape(k, -1)
+    flat = matrix.reshape(k, -1)
+    if not isinstance(xs, Lattice):
+        table = _phase_table(state, t, xs)
+        return (table @ flat).reshape(table.shape[:-1] + matrix.shape[1:])
     coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
     if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
         raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
     table = _phase_table(state, t, coarse)
     fine_table = np.exp(fine[:, None] * (1j * state.momenta))
-    if matrix.shape[1] >= fine.size:
-        out = (table[:, None, :] * fine_table[None, :, :]).reshape(-1, k)[: xs.n] @ matrix
+    if flat.shape[1] >= fine.size:
+        out = (table[:, None, :] * fine_table[None, :, :]).reshape(-1, k)[: xs.n] @ flat
     else:
-        folded = table.T[:, :, None] * matrix[:, None, :]  # (K, n_a, m)
+        folded = table.T[:, :, None] * flat[:, None, :]  # (K, n_a, m)
         out = (fine_table @ folded.reshape(k, -1)).reshape(fine.size, coarse.size, -1)
-        out = out.transpose(1, 0, 2).reshape(-1, matrix.shape[1])[: xs.n]
-    return out.reshape((xs.n,) + coeffs.shape[1:])
+        out = out.transpose(1, 0, 2).reshape(-1, flat.shape[1])[: xs.n]
+    return out.reshape((xs.n,) + matrix.shape[1:])
 
 
 def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:
@@ -394,7 +392,7 @@ def evaluate_dpsi(state: SpectralState, e: Event):
 
 def psi_grid(state: SpectralState, t: float, xs):
     """Vectorized psi(t, x) over an array of positions."""
-    return _plane_wave_sum(state, t, xs, state.amplitudes.T)
+    return _plane_wave_sum(state, t, xs, _kernel_matrix(state, state.amplitudes.T))
 
 
 def psi_dpsi_grid(state: SpectralState, t: float, xs):

@@ -44,7 +44,6 @@ from .states import (
     SpectralState,
     _phase_table,
     _rotate_table,
-    _table_sum,
 )
 
 FieldHandle = Callable[[Event], FourVector]
@@ -125,7 +124,7 @@ def standard_field(state: SpectralState) -> FieldHandle:
     """Field handle for the unconditional current of a state."""
 
     def from_table(t, table):
-        out = _table_sum(state, table, state._psi_dpsi_columns)
+        out = table @ state._psi_dpsi_columns
         return _current_from(state.mass, out[..., 0], out[..., 1], out[..., 2])
 
     return TableField(

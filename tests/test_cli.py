@@ -8,6 +8,7 @@ from kgflow import CausalClass, Event, build_ensemble, make_final_outcome
 from kgflow.cli import _write_csv, main
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
+from kgflow.states import Lattice
 from kgflow.trajectories import (
     Box, conditional_field, segment_stats, standard_field, trace_many,
 )
@@ -324,3 +325,48 @@ def test_density_csv_matches_grid_evaluation(tmp_path, s1_scenario, bundled_stat
     for col, ref in enumerate((j0, j1, nw), start=1):
         peak = np.abs(table[:, col]).max()
         assert np.abs(table[rows, col] - ref).max() <= 1e-13 * peak
+
+
+def test_kernel_below_float_range_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["kernel", "--scenario", "single_rest", "--out", str(out),
+               "--delta-lo", "1e-300", "--delta-hi", "2e-300", "--n", "2"])
+    assert rc == 3
+    assert "separation 1e-300" in capsys.readouterr().err
+    assert not (out / "kernel.csv").exists()
+
+
+def test_cli_reaches_the_public_evaluators(tmp_path, monkeypatch, s1_state):
+    """kg-flow density and the standard field's handle call the public evaluators.
+
+    The benchmark counts work by wrapping public functions from outside, so
+    a path that stops calling them drops out of its per-layer figures.  For
+    the same reason TableField.evaluate goes through current_grid until
+    the kernel counts its own work (ROADMAP item 3).
+    """
+    import kgflow.cli
+    import kgflow.trajectories
+
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(kgflow.cli, "current_grid")
+    counted(kgflow.cli, "nw_density_grid")
+    assert main(["density", "--scenario", "s1_negative_density", "--out", str(tmp_path),
+                 "--n-x", "301"]) == 0
+    assert sorted(name for name, _ in calls) == ["current_grid", "nw_density_grid"]
+    lattices = [[a for a in args if isinstance(a, Lattice)] for _, args in calls]
+    assert all(len(found) == 1 and found[0].n == 301 for found in lattices)
+
+    calls.clear()
+    counted(kgflow.trajectories, "current_grid")
+    standard_field(s1_state)(Event(0.5, 1.0))
+    assert [name for name, _ in calls] == ["current_grid"]

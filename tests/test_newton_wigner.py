@@ -88,6 +88,15 @@ def test_kernel_diverges_at_zero_separation():
         position_kernel(1.0, 0.0, REL)
 
 
+@pytest.mark.parametrize("delta", [1e-100, 1e-200, np.float64(1e-300)])
+def test_kernel_below_float_range_raises(delta):
+    # the tail expansion's powers of 3000/delta overflow; warnings are errors here
+    with pytest.raises(DomainError, match="separation"):
+        position_kernel(1.0, delta, REL)
+    mine = position_kernel(1.0, 1e-80, REL)
+    assert abs(mine - bessel_k0(1e-80) / np.pi) < 1e-12 * mine
+
+
 def test_kernel_compton_decay():
     # exponential falloff against the large-argument Bessel form
     for mass, delta in ((5.0, 2.0), (6.0, 2.0), (10.0, 2.0)):

@@ -136,3 +136,12 @@ def test_scenario_file_roundtrip(tmp_path):
     assert sc.name == "probe"
     assert sc.final is None
     assert sc.grid.n_nodes == 256
+
+
+def test_nodes_per_panel_bounded_at_one_hundred():
+    raw = clone()
+    raw["grid"]["nodes_per_panel"] = 101
+    with pytest.raises(ScenarioError, match="nodes_per_panel"):
+        scenario_from_dict(raw)
+    raw["grid"].update(nodes_per_panel=100, panels=1)
+    assert scenario_from_dict(raw).grid.nodes_per_panel == 100

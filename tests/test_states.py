@@ -13,6 +13,7 @@ from kgflow import (
     invariant_norm,
     make_final_outcome,
     make_gaussian_packet,
+    make_outcome_ensemble,
     superpose,
 )
 from kgflow._quad import gauss_panels
@@ -277,6 +278,15 @@ def test_lattice_kernel_matches_array_path(s1_state, n, m):
         assert lattice.shape == direct.shape == (n, m)
         peak = np.abs(direct).max(axis=0)
         assert np.all(np.abs(lattice - direct).max(axis=0) <= 1e-13 * peak)
+
+
+def test_row_columns_are_the_kernel_matrix_row_first(s1_state):
+    ensemble = make_outcome_ensemble(s1_state, 2.0, -16.0, 20.0, 41)
+    for state in (s1_state, ensemble.backward_state):
+        rows, matrix = state._row_columns, state._psi_dpsi_columns
+        assert rows.flags.c_contiguous and matrix.flags.c_contiguous
+        assert rows.shape == state.amplitudes.shape + (3,)
+        assert np.array_equal(rows, np.moveaxis(matrix, 0, -2))
 
 
 def test_lattice_kernel_gauss_panels(s1_state):

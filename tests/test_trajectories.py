@@ -19,7 +19,8 @@ from kgflow import (
     trace_many,
 )
 from kgflow import trajectories
-from kgflow.states import _ANCHOR_STEPS, ROTATION_RANGE
+from kgflow.current import current_grid
+from kgflow.states import _ANCHOR_STEPS, ROTATION_RANGE, _phase_table
 from kgflow.trajectories import conditional_field
 from kgflow.conditional import conditional_current_grid, make_final_outcome
 
@@ -296,6 +297,17 @@ def test_trace_many_matches_trace(s1_field, bundled_states):
         conditional_current_grid(
             state, make_final_outcome(1.0, 2.0, state), np.array([0.0, 2.5]), np.zeros(2)
         )
+
+
+def test_standard_field_reads_table_as_current_grid(bundled_states):
+    # both multiply the phase table by the state's one weighted matrix
+    state = bundled_states["s1_negative_density"]
+    read = standard_field(state).from_table
+    rng = np.random.default_rng(7)
+    t, x = rng.uniform(-5.0, 5.0, 33), rng.uniform(-14.0, 14.0, 33)
+    for t, x in ((t, x), (1.25, -3.5)):
+        got, ref = read(t, _phase_table(state, t, x)), current_grid(state, t, x)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
