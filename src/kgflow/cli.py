@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +30,27 @@ from .trajectories import (
 from .validation import run_validation
 
 
-def _write_csv(path: Path, header, rows):
-    """One %-format per row: strings pass through, everything else is %.17g."""
-    formats = {}
+def _write_blocks(path: Path, header, blocks):
+    """A header line, then each block (lead, rows): rows of one kind, each opened by lead's cells.
+
+    A block is one %-format repeated over its rows and one write, with the
+    lead cells formatted into that format once.  Strings pass through,
+    everything else is %.17g.
+    """
+    cells = lambda row: ",".join("%s" if isinstance(c, str) else "%.17g" for c in row)  # noqa: E731
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = ",".join(
-                    "%s" if issubclass(kind, str) else "%.17g" for kind in kinds
-                ) + "\n"
-            fh.write(fmt % tuple(row))
+        for lead, rows in blocks:
+            if rows:
+                opening = (cells(lead) + ",") % tuple(lead) if lead else ""
+                fmt = opening.replace("%", "%%") + cells(rows[0]) + "\n"
+                fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
+
+
+def _write_csv(path: Path, header, rows):
+    """Rows of any kinds: each run of rows of one kind is one block of _write_blocks."""
+    runs = groupby(rows, lambda row: tuple(map(type, row)))
+    _write_blocks(path, header, (((), list(run)) for _, run in runs))
 
 
 def _write_json(path: Path, payload):
@@ -109,10 +118,11 @@ def _run_density(args, scenario: Scenario, out: Path) -> int:
         )
     state = build_state(scenario)
     xs = uniform_lattice(lo, hi, args.n_x)
-    j0, j1 = current_grid(state, args.t, xs)
-    columns = (np.linspace(lo, hi, args.n_x), j0, j1, nw_density_grid(state, xs, args.t))
-    rows = zip(*(c.tolist() for c in columns))
-    _write_csv(out / "density.csv", ["x", "j0", "j1", "nw_density"], rows)
+    columns = (np.linspace(lo, hi, args.n_x), *current_grid(state, args.t, xs))
+    table = np.column_stack(columns + (nw_density_grid(state, xs, args.t),))
+    # rows become Python floats one block at a time, which bounds the memory they take
+    blocks = (((), table[i : i + 1024].tolist()) for i in range(0, len(table), 1024))
+    _write_blocks(out / "density.csv", ["x", "j0", "j1", "nw_density"], blocks)
     return 0
 
 
@@ -164,12 +174,12 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
         lines = trace_many(field, [seeds[i][0] for i in group], args.step, args.max_steps, box)
         traced.update(zip(group, lines))
 
-    rows = []
+    blocks = []
     summaries = []
     for tid, (seed, q) in enumerate(seeds):
         traj = traced[tid]
         labels = ["", *_CLASS_VALUES[traj.codes].tolist()]
-        rows.extend(zip([tid] * len(labels), traj.arc.tolist(), *traj.points.T.tolist(), labels))
+        blocks.append(((tid,), list(zip(traj.arc.tolist(), *traj.points.T.tolist(), labels))))
         # a line whose very first step left the box or hit a node has no fractions
         stats = segment_stats(traj) if traj.codes.size else dict.fromkeys(FRACTION_KEYS, 0.0)
         summaries.append(
@@ -184,7 +194,7 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
                 "fractions": stats,
             }
         )
-    _write_csv(out / "trajectories.csv", ["traj_id", "s", "t", "x", "class"], rows)
+    _write_blocks(out / "trajectories.csv", ["traj_id", "s", "t", "x", "class"], blocks)
     _write_json(
         out / "trajectories_summary.json",
         {

@@ -192,33 +192,6 @@ def conditional_current_grid(
     )
 
 
-def conditional_current_rows(
-    initial: SpectralState,
-    f: FinalOutcome,
-    t,
-    table,
-    amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
-):
-    """Conditional (j0, j1) at row i of table given outcome i of a stacked f.
-
-    table is the phase table of initial at (t[i], x[i]), built or rotated
-    (the tracer's RK4 stages); t is a scalar or one time per row.  The
-    diagonal of conditional_current_grid: the prepared state's columns take
-    one product and a batched product contracts each row with its own
-    outcome's columns only, so the cost is linear in the number of rows.
-    An unstacked f pairs every row with its one outcome.
-    """
-
-    def bilinear():
-        back = f.backward_state
-        _require_same_grid(initial, back)
-        own = table @ initial._row_columns
-        theirs = np.matmul(table[..., None, :], back._row_columns)[..., 0, :]
-        return _bilinear(own, theirs)
-
-    return _conditional_current(initial, f, t, amplitude_floor, bilinear)
-
-
 def conditional_current(
     initial: SpectralState,
     f: FinalOutcome,

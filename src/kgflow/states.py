@@ -14,13 +14,9 @@ the Newton-Wigner amplitude, the conditional bilinear for one outcome or
 a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
 time t times a coefficient matrix built from the amplitudes with the
 quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`).  The
-tracer holds its tables itself and multiplies them by the same matrices,
-or, for its stacked conditional field, row i by outcome i's rows only
-(`_row_columns`); the public evaluators take positions, never a table.
-`_rotate_table` gets the tables of its RK4 stages and next accepted
-point from the last accepted point's, by a rotation exp(i(p dx - p0 dt))
-built from Taylor polynomials.  An exact table every _ANCHOR_STEPS
-accepted points ends each chain of rotations before its rounding grows.
+tracer builds exact tables only at its jet centres and reads the points
+between off Taylor jets of psi (trajectories._Jets); the public
+evaluators take positions, never a table.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -140,11 +136,6 @@ class SpectralState:
         a = self.amplitudes
         cols = np.stack([a, -1j * self.energies * a, -1j * self.momenta * a], axis=-1)
         return _kernel_matrix(self, np.moveaxis(cols, -2, 0))
-
-    @cached_property
-    def _row_columns(self):
-        """_psi_dpsi_columns as (..., K, 3), for a batched product with one table row per row."""
-        return np.ascontiguousarray(np.moveaxis(self._psi_dpsi_columns, 0, -2))
 
 
 def _kernel_matrix(state: SpectralState, coeffs):
@@ -266,66 +257,19 @@ class Lattice(NamedTuple):
 
 
 def _phase_table(state: SpectralState, t, xs):
-    """The phase table exp(-i(p0 t - p x)), shape xs.shape + (K,); t broadcasts against xs."""
-    table = np.asarray(xs, dtype=float)[..., None] * (1j * state.momenta)
-    table -= (1j * np.asarray(t))[..., None] * state.energies
-    np.exp(table, out=table)
-    return table
+    """The phase table exp(-i(p0 t - p x)), shape xs.shape + (K,); t broadcasts against xs.
 
-
-# |theta| the stage rotation covers: cos through theta^12 and sin through
-# theta^13 leave truncation below 5e-20 there
-ROTATION_RANGE = 0.25
-# a chain of rotations, each at most one step long, is re-anchored on an
-# exact table every this many accepted steps: its rounding error grows with
-# its length, and over this many steps stays near that of one rotation
-_ANCHOR_STEPS = 64
-# Taylor coefficients in theta^2, highest power first, for Horner's rule
-_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(6, -1, -1))
-_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(6, -1, -1))
-
-
-def _horner(coeffs, sq, out=None):
-    """The polynomial in sq with coefficients coeffs, highest power first."""
-    acc = np.multiply(coeffs[0], sq, out=out)
-    for c in coeffs[1:-1]:
-        acc += c
-        acc *= sq
-    acc += coeffs[-1]
-    return acc
-
-
-def _rotate_table(state: SpectralState, table, offsets):
-    """The phase table at (t, x) + offsets from the table at (t, x), without exponentials.
-
-    offsets (..., 2) holds (dt, dx) for each row of table (..., K).  The
-    result is table * exp(i theta), theta = p dx - p0 dt, with cos theta
-    and sin theta from real Taylor polynomials that are exact to rounding
-    for |theta| <= ROTATION_RANGE.  Since |p| < p0, |theta| <= (|dt| +
-    |dx|) max p0; where that bound exceeds the range, theta is halved h
-    times to fit and the rotation squared h times (scaling and squaring).
+    The real phase theta = x p - t p0, built in the table's imaginary part,
+    goes through np.cos and np.sin into the table's two parts, which is
+    cheaper than a complex exponential and needs no second buffer.
     """
-    offsets = np.asarray(offsets, dtype=float)
-    # momenta increase, so the largest p0 is at an end of the grid
-    bound = np.abs(offsets).sum(axis=-1).max() * max(state.energies[0], state.energies[-1])
-    halvings = 0
-    if bound > ROTATION_RANGE:  # scaling by a power of two is exact
-        halvings = math.ceil(math.log2(bound / ROTATION_RANGE))
-        offsets = offsets * 0.5**halvings
-    # three (..., K) real buffers, reused: this runs at every RK4 stage
-    theta = offsets[..., 1:] * state.momenta
-    sq = offsets[..., :1] * state.energies
-    theta -= sq
-    np.multiply(theta, theta, out=sq)
-    sin = _horner(_SIN_TAYLOR, sq)
-    sin *= theta
-    rotation = np.empty(theta.shape, dtype=complex)
-    rotation.real = _horner(_COS_TAYLOR, sq, out=theta)
-    rotation.imag = sin
-    for _ in range(halvings):
-        np.square(rotation, out=rotation)
-    rotation *= table
-    return rotation
+    xs = np.asarray(xs, dtype=float)[..., None]
+    table = np.empty(xs.shape[:-1] + state.momenta.shape, dtype=complex)
+    theta = np.multiply(xs, state.momenta, out=table.imag)
+    theta -= np.asarray(t, dtype=float)[..., None] * state.energies
+    np.cos(theta, out=table.real)
+    np.sin(theta, out=theta)
+    return table
 
 
 def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
@@ -354,7 +298,7 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
     if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
         raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
     table = _phase_table(state, t, coarse)
-    fine_table = np.exp(fine[:, None] * (1j * state.momenta))
+    fine_table = _phase_table(state, 0.0, fine)
     if flat.shape[1] >= fine.size:
         out = (table[:, None, :] * fine_table[None, :, :]).reshape(-1, k)[: xs.n] @ flat
     else:

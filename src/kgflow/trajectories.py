@@ -17,17 +17,15 @@ return plain floats.  Each line comes back as a Trajectory of arrays,
 whose events and classes are built only when read.
 
 The handles of standard_field and conditional_field are TableFields,
-which can also read the field off the phase table exp(-i(p0 t - p x)),
-for the live lines' rows alone.  The tracer builds that table exactly
-only at the seed and at every states._ANCHOR_STEPS-th (64th) accepted
-point.  Every other table, of an RK4 stage or of the next accepted
-point, is the last accepted one rotated through exp(i(p dx - p0 dt))
-(states._rotate_table), at any step length.  Rounding grows along a
-chain of rotations, and the anchors keep it near that of one rotation.
+whose field the tracer reads off Taylor jets of psi in (dt, dx) for the
+live lines' rows alone (_JetStages): jets centred on an exact phase table
+at the seed and at every m-th accepted point, and a polynomial in its
+offset from the centre at each RK4 stage and accepted point between.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -36,15 +34,8 @@ import numpy as np
 
 from .errors import NodeError
 from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
-from .conditional import FinalOutcome, _outcome_rows, conditional_current_rows
-from .states import (
-    _ANCHOR_STEPS,
-    Event,
-    FourVector,
-    SpectralState,
-    _phase_table,
-    _rotate_table,
-)
+from .conditional import FinalOutcome, _bilinear, _conditional_current, _outcome_rows
+from .states import Event, FourVector, SpectralState, _phase_table, _require_same_grid
 
 FieldHandle = Callable[[Event], FourVector]
 # segment_stats keys in CausalClass code order; null-vector steps count in none
@@ -101,19 +92,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TableField:
-    """A field handle that can also read the field off a phase table of state.
+    """A field handle whose field the tracer can also read off Taylor jets of its states.
 
-    Calling it evaluates evaluate(t, x), so it keeps the field(e)
-    protocol; from_table(t, table) gives the same (j0, j1) at the rows of
-    table, the phase table of state at times t, row i for seed i.
-    rows(seeds) gives that reader for a table whose rows are those of
-    the seed indices seeds alone, in that order, as trace_many's table
-    is once lines have stopped.
+    Calling it evaluates evaluate(t, x), so it keeps the field(e) protocol.
+    rows(seeds) gives, for the rows of the seed indices seeds in that order,
+    the weighted mode coefficients (S, rows or 1, K) of the S states whose
+    psi, d0 psi and d1 psi make the field, and a reader read(t, values) of
+    (j0, j1) from their values (rows, S, 3) at times t.
     """
 
     state: SpectralState
     evaluate: Callable
-    from_table: Callable
     rows: Callable
 
     def __call__(self, e: Event) -> FourVector:
@@ -122,14 +111,12 @@ class TableField:
 
 def standard_field(state: SpectralState) -> FieldHandle:
     """Field handle for the unconditional current of a state."""
+    coeffs = state._psi_dpsi_columns[None, None, :, 0]  # the weighted amplitudes
 
-    def from_table(t, table):
-        out = table @ state._psi_dpsi_columns
-        return _current_from(state.mass, out[..., 0], out[..., 1], out[..., 2])
+    def read(t, values):
+        return _current_from(state.mass, *values[:, 0].T)
 
-    return TableField(
-        state, lambda t, x: current_grid(state, t, x), from_table, lambda seeds: from_table
-    )
+    return TableField(state, lambda t, x: current_grid(state, t, x), lambda seeds: (coeffs, read))
 
 
 def conditional_field(
@@ -140,51 +127,139 @@ def conditional_field(
     A stacked outcome (make_final_outcome with an array of q) conditions row
     i of each event on outcome i, at cost linear in the number of rows.
     """
-
-    def reader(f):
-        return lambda t, table: conditional_current_rows(initial, f, t, table, amplitude_floor)
+    _require_same_grid(initial, outcome.backward_state)
+    own = initial._psi_dpsi_columns[..., 0]  # the weighted amplitudes
 
     def rows(seeds):
-        if np.size(outcome.q_value) == 1:  # one outcome pairs with every row
-            return reader(outcome)
-        return reader(_outcome_rows(outcome, seeds))
+        f = outcome if np.size(outcome.q_value) == 1 else _outcome_rows(outcome, seeds)
+        coeffs = np.stack(np.broadcast_arrays(own, f.backward_state._psi_dpsi_columns[..., 0].T))
 
-    from_table = reader(outcome)
-    return TableField(
-        initial, lambda t, x: from_table(t, _phase_table(initial, t, x)), from_table, rows
-    )
+        def read(t, values):
+            bilinear = lambda: _bilinear(values[:, 0], values[:, 1])  # noqa: E731
+            return _conditional_current(initial, f, t, amplitude_floor, bilinear)
+
+        return coeffs.reshape(2, -1, own.size), read
+
+    def evaluate(t, x):
+        t, x = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
+        (coeffs, read), jets = rows(slice(None)), _Jets(initial, 0)  # each event a centre
+        taylor = jets.centre(_phase_table(initial, t.ravel(), x.ravel()), coeffs)
+        values = jets.at(taylor, np.zeros((t.size, 2)), 0)
+        return tuple(j.reshape(t.shape)[()] for j in read(t.ravel(), values))
+
+    return TableField(initial, evaluate, rows)
 
 
-class _TableStages:
-    """A TableField along the live lines, from the phase table at their accepted points.
+# the phase |p dx - p0 dt| that one centre's jets cover
+JET_RADIUS = 0.8
 
-    The RK4 stages and the next accepted point rotate that table by their
-    offsets (states._rotate_table); the seed and every _ANCHOR_STEPS-th
-    step, counted from the seed so that no line depends on its batch,
-    build it exactly.
+
+def _jet_plan(state: SpectralState, step: float):
+    """(m, degrees): accepted steps from one jet centre to the next, and the degree per span.
+
+    theta_h = step max_k |(p_k, p0_k)| bounds |p dx - p0 dt| over a step
+    (Cauchy-Schwarz).  Evaluations lie within m = floor(JET_RADIUS / theta_h)
+    steps of their centre; s steps from it, the jets are read to degrees[s],
+    the smallest N with (s theta_h)^(N+1) / (N+1)! < 1e-17.  At m = 0 every
+    evaluation is its own centre."""
+    theta = step * np.hypot(state.momenta, state.energies).max()
+    every, degrees = int(JET_RADIUS // theta), []
+    for reach in theta * np.arange(every + 1):
+        degree, term = 0, reach  # term = reach^(N+1) / (N+1)!
+        while term >= 1e-17:
+            degree += 1
+            term *= reach / (degree + 1)
+        degrees.append(degree)
+    return every, degrees
+
+
+class _Jets:
+    """Taylor jets of psi in (dt, dx) to degree N, on one state's momentum grid.
+
+    psi(t + dt, x + dx) = sum_k c_k table_k exp(-i p0_k dt) exp(i p_k dx)
+    = sum_(a, b) J_ab dt^a dx^b, so one product J = (table o c) @ M with
+    M[k, (a, b)] = (-i p0_k)^a (i p_k)^b / (a! b!), a + b <= N + 1, gives
+    the jets at each row of the table, its centre.  d0 psi = d psi / dt and
+    d1 psi = -d psi / dx come off J by an index shift, to degree N.
     """
 
-    def __init__(self, field: TableField):
-        self.state, self.read, self.rows = field.state, field.from_table, field.rows
+    def __init__(self, state: SpectralState, degree: int):
+        # monomial dt^a dx^b in column (a + b)(a + b + 1) / 2 + a: by degree, then by a
+        a, b = np.array([(a, n - a) for n in range(degree + 2) for a in range(n + 1)]).T
+        fact = np.array([math.factorial(k) for k in range(degree + 2)], dtype=float)
+        size = state.energies[:, None] ** a * state.momenta[:, None] ** b / (fact[a] * fact[b])
+        self.matrix = np.array([1, 1j, -1, -1j])[(b - a) % 4] * size  # (-i)^a i^b = i^(b - a)
+        a, b = self.a, self.b = a[a + b <= degree], b[a + b <= degree]
+        # J's column (a, b) as floats, real then imaginary part, for each jet
+        column = lambda a, b: (a + b) * (a + b + 1) + 2 * a  # noqa: E731
+        take = np.stack([column(a, b), column(a + 1, b), column(a, b + 1)])
+        self.take = (take[:, None] + [[0], [1]]).ravel()
+        self.scale = np.repeat([np.ones(len(a)), a + 1.0, -(b + 1.0)], 2, axis=0).ravel()
 
-    def accept(self, pos, delta, k):
-        """The field at the accepted points pos, delta past the previous ones, after k steps."""
-        if k % _ANCHOR_STEPS:
-            self.table = _rotate_table(self.state, self.table, delta)
-        else:
-            self.table = _phase_table(self.state, pos[:, 0], pos[:, 1])
+    def centre(self, table, coeffs):
+        """Jets (rows, 6 S, monomials) at table's rows of the states of coeffs (S, rows or 1, K).
+
+        Per state: the real and imaginary parts of psi's, d0 psi's and d1 psi's jets."""
+        rows, s = len(table), len(coeffs)
+        j = ((table * coeffs).reshape(rows * s, -1) @ self.matrix).view(float)
+        j = np.take(j.reshape(s, rows, -1), self.take, axis=2)
+        j *= self.scale
+        return np.ascontiguousarray(j.transpose(1, 0, 2)).reshape(rows, 6 * s, -1)
+
+    def at(self, jets, offsets, degree):
+        """(psi, d0 psi, d1 psi) (rows, S, 3) at offsets (rows, 2) (dt, dx), jets read to degree."""
+        n = (degree + 1) * (degree + 2) // 2
+        powers = np.ones((degree + 1,) + offsets.shape)
+        powers[1:] = offsets
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        powers = powers.transpose(1, 2, 0)  # (rows, 2, N + 1): dt^n and dx^n
+        monomials = powers[:, 0, self.a[:n]] * powers[:, 1, self.b[:n]]
+        values = np.matmul(jets[..., :n], monomials[:, :, None])
+        return values.reshape(len(jets), -1, 3, 2).view(complex)[..., 0]
+
+
+class _JetStages:
+    """A TableField along the live lines, read off Taylor jets of its states.
+
+    The seed and every m-th accepted point after it, counted from the seed
+    so that no line depends on its batch, are centres: each takes an exact
+    phase table and from it the jets, off which the accepted points and RK4
+    stages up to the next centre are read (m from _jet_plan).
+    """
+
+    def __init__(self, field: TableField, step: float, n: int):
+        self.state, self.rows = field.state, field.rows
+        self.every, self.degrees = _jet_plan(self.state, step)
+        self.jets = _Jets(self.state, self.degrees[-1])
+        self.coeffs, self.read = self.rows(np.arange(n))
+
+    def _centre(self, p):
+        table = _phase_table(self.state, p[:, 0], p[:, 1])
+        self.centres, self.taylor = p, self.jets.centre(table, self.coeffs)
+
+    def _at(self, p, span):
+        values = self.jets.at(self.taylor, p - self.centres, self.degrees[span])
+        return np.column_stack(self.read(p[:, 0], values))
+
+    def accept(self, pos, k):
+        """The field at the accepted points pos, after k steps."""
+        self.span = k % max(self.every, 1)  # accepted steps since the centre
+        if not self.span:
+            self._centre(pos)
         self.pos = pos
-        return np.column_stack(self.read(pos[:, 0], self.table))
+        return self._at(pos, self.span)
 
     def near(self, d):
         """The field at pos + d, d a stage offset."""
-        t = self.pos[:, 0] + d[:, 0]
-        return np.column_stack(self.read(t, _rotate_table(self.state, self.table, d)))
+        p = self.pos + d
+        if not self.every:  # one step passes the radius: every stage is a centre
+            self._centre(p)
+        return self._at(p, min(self.span + 1, self.every))
 
     def keep(self, live, seeds):
         """Drop the rows of stopped lines; seeds are the seed indices of the rest."""
-        self.table = self.table[live]
-        self.read = self.rows(seeds)
+        self.centres, self.taylor = self.centres[live], self.taylor[live]
+        self.coeffs, self.read = self.rows(seeds)
 
 
 class _PlainStages:
@@ -205,7 +280,7 @@ class _PlainStages:
         j[:, 0], j[:, 1] = v.v0, v.v1
         return j[self.seeds]
 
-    def accept(self, pos, delta, k):
+    def accept(self, pos, k):
         self.pos = pos
         self.frozen[self.seeds] = pos
         return self._at(pos)
@@ -264,10 +339,8 @@ def trace_many(
         raise ValueError(f"seed {Event(*pos[np.argmin(inside)].tolist())} lies outside the box")
 
     n_seeds = len(pos)
-    if isinstance(field, TableField):
-        stages = _TableStages(field)
-    else:
-        stages = _PlainStages(field, n_seeds)
+    stages = (_JetStages(field, step, n_seeds) if isinstance(field, TableField)
+              else _PlainStages(field, n_seeds))
 
     def direction(j, ref):
         # unit rows sign-aligned with ref, zero rows where |j| is at the floor
@@ -276,7 +349,7 @@ def trace_many(
         d = j / np.where(ok, n, np.inf)[:, None]
         return np.where(((d * ref).sum(axis=1) < 0.0)[:, None], -d, d), ok
 
-    j = stages.accept(pos, None, 0)
+    j = stages.accept(pos, 0)
     scale = np.hypot(j[:, 0], j[:, 1])
     floor = 1e-10 * scale if node_floor is None else np.full(n_seeds, float(node_floor))
     if np.any((scale <= floor) | (scale == 0.0)):
@@ -312,7 +385,7 @@ def trace_many(
             floor = floor[live]
             stages.keep(live, rows)
         pos = new
-        j = stages.accept(pos, delta, k + 1)
+        j = stages.accept(pos, k + 1)
         tangent = delta / norm[:, None]
         path.append(path[-1].copy())
         path[-1][rows] = pos

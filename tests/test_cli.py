@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgflow import CausalClass, Event, build_ensemble, make_final_outcome
-from kgflow.cli import _write_csv, main
+from kgflow.cli import _write_blocks, _write_csv, main
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import Lattice
@@ -307,6 +307,33 @@ def test_write_csv_matches_per_cell_join(tmp_path):
         for row in rows
     )
     assert (tmp_path / "new.csv").read_bytes() == text.encode("utf-8")
+
+
+def _per_row_csv(header, rows):
+    """The per-row writer the blocks replace: one %-format per row from its cell types."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) % tuple(row) + "\n"
+        for row in rows
+    )
+
+
+def test_write_blocks_matches_per_row_writer(tmp_path):
+    header = ["id", "a", "b", "c"]
+    blocks = [
+        ((3,), [(0.1, -0.0, ""), (1 / 3, 2.5e17, "lightlike"), (float("nan"), 5e-324, "")]),
+        ((), [(7, "", np.float64(0.5), np.int64(-2))]),  # int, str and float cells
+        (("x%y",), [(1e-300, float("inf"), "a,b")]),  # a lead cell holding a %
+        ((np.int64(5),), []),  # an empty block writes nothing
+        ((True, 2.5), [(1.0000000000000002, "timelike-forward")] * 3),
+        ((12,), [(np.float32(0.1), -1.7976931348623157e308, "null-vector")]),
+    ]
+    path = tmp_path / "blocks.csv"
+    _write_blocks(path, header, blocks)
+    rows = [lead + row for lead, block in blocks for row in block]
+    assert path.read_bytes() == _per_row_csv(header, rows).encode("utf-8")
+    # a file of a single row
+    _write_blocks(path, header, [((4,), [(0.25, "", 1e22)])])
+    assert path.read_bytes() == _per_row_csv(header, [(4, 0.25, "", 1e22)]).encode("utf-8")
 
 
 def test_density_csv_matches_grid_evaluation(tmp_path, s1_scenario, bundled_states):

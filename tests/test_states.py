@@ -13,18 +13,14 @@ from kgflow import (
     invariant_norm,
     make_final_outcome,
     make_gaussian_packet,
-    make_outcome_ensemble,
     superpose,
 )
 from kgflow._quad import gauss_panels
 from kgflow.states import (
-    _ANCHOR_STEPS,
-    ROTATION_RANGE,
     Lattice,
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
-    _rotate_table,
     psi_grid,
     uniform_lattice,
 )
@@ -130,49 +126,18 @@ def test_same_grid_check_shares_arrays_and_still_rejects_mismatches(s1_state):
         _require_same_grid(s1_state, shifted)
 
 
-def test_rotated_table_matches_phase_table_to_range_edge(s1_state):
-    rng = np.random.default_rng(6)
-    n = 400
-    t, x = rng.uniform(-5.0, 5.0, n), rng.uniform(-12.0, 12.0, n)
-    rate = np.hypot(s1_state.momenta, s1_state.energies)
-    fastest = np.argmax(rate)
-    edge = np.array([-s1_state.energies[fastest], s1_state.momenta[fastest]]) / rate.max()
-    # half the range takes the polynomials alone; past it, theta is halved
-    # and the rotation squared back, up to 40 times the range
-    for reach in (0.5, 1.0, 3.0, 40.0):
-        # random directions at random lengths up to reach times the range, then
-        # offsets along the fastest mode's own direction, where |theta| is largest
-        angle = rng.uniform(0.0, 2.0 * np.pi, n)
-        length = reach * ROTATION_RANGE / rate.max() * np.sqrt(rng.uniform(0.0, 1.0, n))
-        length[-100:] = reach * ROTATION_RANGE / rate.max()
-        offsets = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        offsets[-50:] = np.outer(rng.choice([-1.0, 1.0], 50), edge) * length[-50:, None]
-        theta = offsets @ np.stack((-s1_state.energies, s1_state.momenta))
-        assert np.abs(theta).max() == pytest.approx(reach * ROTATION_RANGE, rel=1e-12)
-        rotated = _rotate_table(s1_state, _phase_table(s1_state, t, x), offsets)
-        exact = _phase_table(s1_state, t + offsets[:, 0], x + offsets[:, 1])
-        assert np.abs(rotated - exact).max() <= 1e-13
-
-
-def test_rotation_chain_reanchored_stays_at_phase_table(s1_state):
-    # the tracer's accepted-point tables along a line that loops round a node:
-    # each rotated from the last by a step-0.02 offset, exact every _ANCHOR_STEPS
-    n = 20000
-    angle = 0.04 * np.arange(n)
-    offsets = 0.02 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    points = np.cumsum(np.vstack([[0.3, -1.2], offsets]), axis=0)
-    worst = 0.0
-    for anchor in range(0, n + 1, _ANCHOR_STEPS):
-        start = points[anchor : anchor + 1]
-        table = _phase_table(s1_state, start[:, 0], start[:, 1])
-        chain = [table]
-        for d in offsets[anchor : min(anchor + _ANCHOR_STEPS - 1, n)]:
-            table = _rotate_table(s1_state, table, d[None])
-            chain.append(table)
-        run = points[anchor : anchor + len(chain)]
-        exact = _phase_table(s1_state, run[:, 0], run[:, 1])
-        worst = max(worst, np.abs(np.vstack(chain) - exact).max())
-    assert worst <= 1e-13
+def test_phase_table_is_cos_and_sin_of_the_real_phase(s1_state):
+    # the table's two parts come from np.cos and np.sin of theta = x p - t p0;
+    # the complex exponential of the same phase agrees to rounding
+    rng = np.random.default_rng(12)
+    t, x = rng.uniform(-5.0, 5.0, 64), rng.uniform(-14.0, 14.0, 64)
+    for t in (t, 1.25):
+        table = _phase_table(s1_state, t, x)
+        theta = np.multiply.outer(x, s1_state.momenta) - np.multiply.outer(t, s1_state.energies)
+        ref = np.exp(1j * theta)
+        assert table.shape == (64, s1_state.momenta.size)
+        assert np.abs(table - ref).max() <= 1e-13
+    assert _phase_table(s1_state, 0.0, 2.0).shape == s1_state.momenta.shape
 
 
 def test_psi_real_positive_at_origin(rest_packet):
@@ -278,15 +243,6 @@ def test_lattice_kernel_matches_array_path(s1_state, n, m):
         assert lattice.shape == direct.shape == (n, m)
         peak = np.abs(direct).max(axis=0)
         assert np.all(np.abs(lattice - direct).max(axis=0) <= 1e-13 * peak)
-
-
-def test_row_columns_are_the_kernel_matrix_row_first(s1_state):
-    ensemble = make_outcome_ensemble(s1_state, 2.0, -16.0, 20.0, 41)
-    for state in (s1_state, ensemble.backward_state):
-        rows, matrix = state._row_columns, state._psi_dpsi_columns
-        assert rows.flags.c_contiguous and matrix.flags.c_contiguous
-        assert rows.shape == state.amplitudes.shape + (3,)
-        assert np.array_equal(rows, np.moveaxis(matrix, 0, -2))
 
 
 def test_lattice_kernel_gauss_panels(s1_state):

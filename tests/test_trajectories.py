@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from kgflow import (
     CausalOrderError,
     Event,
     FourVector,
+    GridMismatchError,
     GridSpec,
     NodeError,
     ZeroProbabilityOutcomeError,
@@ -20,8 +23,8 @@ from kgflow import (
 )
 from kgflow import trajectories
 from kgflow.current import current_grid
-from kgflow.states import _ANCHOR_STEPS, ROTATION_RANGE, _phase_table
-from kgflow.trajectories import conditional_field
+from kgflow.states import _phase_table
+from kgflow.trajectories import JET_RADIUS, _Jets, _jet_plan, conditional_field
 from kgflow.conditional import conditional_current_grid, make_final_outcome
 
 from conftest import max_turn_deg
@@ -300,14 +303,17 @@ def test_trace_many_matches_trace(s1_field, bundled_states):
 
 
 def test_standard_field_reads_table_as_current_grid(bundled_states):
-    # both multiply the phase table by the state's one weighted matrix
+    # the field's coefficient rows and reader, on degree-0 jets of the phase
+    # table (psi, d0 psi and d1 psi themselves), give current_grid to rounding
     state = bundled_states["s1_negative_density"]
-    read = standard_field(state).from_table
+    coeffs, read = standard_field(state).rows(np.arange(33))
     rng = np.random.default_rng(7)
     t, x = rng.uniform(-5.0, 5.0, 33), rng.uniform(-14.0, 14.0, 33)
-    for t, x in ((t, x), (1.25, -3.5)):
-        got, ref = read(t, _phase_table(state, t, x)), current_grid(state, t, x)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    jets = _Jets(state, 0)
+    values = jets.at(jets.centre(_phase_table(state, t, x), coeffs), np.zeros((33, 2)), 0)
+    for got, ref in zip(read(t, values), current_grid(state, t, x)):
+        assert got.shape == ref.shape == (33,)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
@@ -330,44 +336,33 @@ def test_stacked_conditional_field_is_diagonal_of_grid(bundled_states, n):
 
 
 def _counting_table_builders(monkeypatch):
-    """Patch the tracer's table builders to record the rows of every table they build."""
-    built = {"exact": [], "rotated": []}
-    exact_table, rotate_table = trajectories._phase_table, trajectories._rotate_table
+    """Patch the tracer's exact table builder to record the rows of every table it builds."""
+    built, exact_table = [], trajectories._phase_table
 
     def exact(state, t, x):
-        built["exact"].append(np.size(x))
+        built.append(np.size(x))
         return exact_table(state, t, x)
 
-    def rotated(state, table, offsets):
-        built["rotated"].append(len(table))
-        return rotate_table(state, table, offsets)
-
     monkeypatch.setattr(trajectories, "_phase_table", exact)
-    monkeypatch.setattr(trajectories, "_rotate_table", rotated)
     return built
 
 
 def test_tables_rotate_between_exact_anchors(bundled_states, monkeypatch):
+    # No table is rotated any more: the count changed on purpose.  The seed and
+    # every m-th accepted point are jet centres with an exact table, and at
+    # m = 0 (one step past the jet radius) every evaluation is one
     state = bundled_states["s1_negative_density"]
     field = standard_field(state)
     seeds = [Event(-1.0, -2.0), Event(0.5, 0.3), Event(2.0, 4.0)]
-    n_steps = 2 * _ANCHOR_STEPS + 12
-    reach = ROTATION_RANGE / np.hypot(state.momenta, state.energies).max()
     built = _counting_table_builders(monkeypatch)
-    # every table but the seed's and each _ANCHOR_STEPS-th accepted point's is
-    # rotated, at step 0.02 and at a step past the range of one rotation alike
-    for step in (0.02, 1.25 * reach):
-        built["exact"].clear()
+    for step, n_steps in ((0.02, 140), (0.05, 60), (0.1, 30), (0.4, 8)):
+        every, _ = _jet_plan(state, step)
+        built.clear()
         lines = trace_many(field, seeds, step, n_steps, WIDE)
         assert {line.stop_reason for line in lines} == {"max-steps"}
-        assert built["exact"] == [len(seeds)] * (1 + n_steps // _ANCHOR_STEPS)
-    # the chained tables trace the same lines as a plain callable, which takes exact tables
-    monkeypatch.undo()
-    for step in (0.02, 1.25 * reach, 0.1):
-        rotated = trace_many(field, seeds, step, n_steps, WIDE)
-        plain = trace_many(lambda e: field(e), seeds, step, n_steps, WIDE)
-        for line, exact in zip(rotated, plain):
-            assert_same_line(line, exact)
+        tables = 1 + n_steps // every if every else 1 + 4 * n_steps
+        assert built == [len(seeds)] * tables
+    assert _jet_plan(state, 0.4)[0] == 0 < _jet_plan(state, 0.1)[0] < _jet_plan(state, 0.02)[0]
 
 
 def test_stopped_lines_leave_the_batch(bundled_states, monkeypatch):
@@ -396,11 +391,11 @@ def test_stopped_lines_leave_the_batch(bundled_states, monkeypatch):
         steps = np.array([len(line.codes) for line in lines])
         assert {line.stop_reason for line in lines} == reasons
         assert len(set(steps[stopped])) == sum(stopped) >= 2
-        # a line takes three stage tables per step it tries and one table per
-        # accepted point, its seed's included, and none once it has stopped
-        tables = 3 * (steps + stopped) + steps + 1
-        assert sum(built["exact"]) + sum(built["rotated"]) == tables.sum()
-        assert sum(built["exact"]) == (1 + steps // _ANCHOR_STEPS).sum()
+        # a line takes one exact table row at its seed and at every m-th
+        # accepted point after it, and none once it has stopped
+        every = _jet_plan(field.state, 0.02)[0]
+        assert every > 1
+        assert sum(built) == (1 + steps // every).sum()
         for one, seed, line in zip(alone, seeds, lines):
             assert_same_line(line, trace(one, seed, 0.02, n_steps, box, node_floor=floor))
 
@@ -427,11 +422,11 @@ def test_chained_tables_follow_the_exact_node_line(node_trajectory, s1_field, s1
     seed, box = Event(2.9, 9.45), s1_scenario.box
     exact = trace(plain, seed, 0.01, 4000, box)
     assert node_trajectory.stop_reason == exact.stop_reason == "box-exit"
-    assert len(node_trajectory.points) == len(exact.points) > 14 * _ANCHOR_STEPS
+    assert len(node_trajectory.points) == len(exact.points) > 900
     assert node_trajectory.reversals == exact.reversals
     assert node_trajectory.classes == exact.classes
-    # anchors count steps from the seed, so a shorter trace is a prefix of the
-    # longer one; over its first 300 steps the line agrees with the exact path
+    # jet centres count steps from the seed, so a shorter trace is a prefix of
+    # the longer one; over its first 300 steps the line agrees with the exact path
     head = trace(s1_field, seed, 0.01, 300, box)
     assert np.array_equal(head.points, node_trajectory.points[:301])
     assert_same_line(head, trace(plain, seed, 0.01, 300, box))
@@ -441,3 +436,89 @@ def test_chained_tables_follow_the_exact_node_line(node_trajectory, s1_field, s1
     spread = np.abs(shifted.points - exact.points).max()
     assert spread > 1e-12
     assert np.abs(node_trajectory.points - exact.points).max() <= 10 * spread
+
+
+DRIFTING_GRID = GridSpec(-5.5, 6.5, 12, 32)  # criterion 08's RK4-order packet
+
+
+@pytest.mark.parametrize(
+    "name, step",
+    [("s1_negative_density", 0.02), ("s1_negative_density", 0.05), ("s1_conditional", 0.1),
+     ("s1_negative_density", 0.4), ("drifting", 0.4), ("drifting", 0.05)],
+)
+def test_jets_match_phase_table_over_the_radius(bundled_states, name, step):
+    if name == "drifting":
+        state = make_gaussian_packet(1.0, 0.6, 0.5, 0.0, DRIFTING_GRID)
+    else:
+        state = bundled_states[name]
+    every, degrees = _jet_plan(state, step)
+    rate = np.hypot(state.momenta, state.energies)
+    assert len(degrees) == every + 1 and every * step * rate.max() <= JET_RADIUS
+    if not every:  # one step passes the radius: every evaluation is its own centre
+        assert step * rate.max() > JET_RADIUS
+    jets = _Jets(state, degrees[-1])
+    rng = np.random.default_rng(11)
+    n = 300
+    t, x = rng.uniform(-3.0, 3.0, n), rng.uniform(-10.0, 10.0, n)
+    coeffs, _ = standard_field(state).rows(np.arange(n))
+    taylor = jets.centre(_phase_table(state, t, x), coeffs)
+    fastest = np.argmax(rate)
+    edge = np.array([-state.energies[fastest], state.momenta[fastest]]) / rate[fastest]
+    for span, degree in enumerate(degrees):
+        # the smallest degree whose truncation over span steps stays below 1e-17
+        reach = span * step * rate.max()
+        term = lambda n: reach ** (n + 1) / math.factorial(n + 1)  # noqa: E731
+        assert term(degree) < 1e-17 and (degree == 0 or term(degree - 1) >= 1e-17)
+        # random offsets up to span steps, the last along the fastest mode's
+        # own direction, where |p dx - p0 dt| reaches reach
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        length = span * step * np.sqrt(rng.uniform(0.0, 1.0, n))
+        length[-100:] = span * step
+        offsets = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        offsets[-50:] = np.outer(rng.choice([-1.0, 1.0], 50), edge) * length[-50:, None]
+        theta = offsets @ np.stack((-state.energies, state.momenta))
+        assert np.abs(theta).max() == pytest.approx(reach, rel=1e-12, abs=0.0)
+        got = jets.at(taylor, offsets, degree)[:, 0]
+        ref = _phase_table(state, t + offsets[:, 0], x + offsets[:, 1]) @ state._psi_dpsi_columns
+        peak = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref).max(axis=0) <= 1e-13 * peak)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 0.4, 5.0])
+def test_jet_lines_follow_the_plain_callable(bundled_states, s1_scenario, step):
+    # a plain callable builds an exact table at every evaluation; 5.0 crosses
+    # most of the box in one step
+    n_steps = max(2, round(3.0 / step))
+    standard = standard_field(bundled_states["s1_negative_density"])
+    seeds = [Event(-1.0, -2.0), Event(0.5, 0.3), Event(2.0, 4.0), Event(0.0, -1.05)]
+    state = bundled_states["s1_conditional"]
+    stacked = conditional_field(state, make_final_outcome([-2.0, 1.0, 4.0], 2.0, state))
+    # stage times stay at or before T = 2: they reach at most one step past the box
+    t_hi = 2.0 - step
+    cond_seeds = [Event(t_hi - 2.0, -1.0), Event(t_hi - 1.5, 0.5), Event(t_hi - 3.0, 2.0)]
+    cond_box = Box(t_hi - 4.0, t_hi, -10.0, 10.0)
+    for field, seeds, box in ((standard, seeds, s1_scenario.box), (stacked, cond_seeds, cond_box)):
+        lines = trace_many(field, seeds, step, n_steps, box)
+        plain = trace_many(lambda e: field(e), seeds, step, n_steps, box)
+        for line, exact in zip(lines, plain):
+            assert_same_line(line, exact)
+        if step == 5.0:
+            assert {line.stop_reason for line in lines} == {"box-exit"}
+
+
+@pytest.mark.parametrize("step", [0.02, 0.4])
+def test_conditional_stage_past_T_raises(bundled_states, step):
+    # the box reaches T itself, so the stages of a line near T pass it
+    state = bundled_states["s1_conditional"]
+    field = conditional_field(state, make_final_outcome([1.0, -2.0], 2.0, state))
+    seeds = [Event(0.0, 1.0), Event(2.0 - 0.25 * step, 0.0)]
+    with pytest.raises(CausalOrderError):
+        trace_many(field, seeds, step, 50, Box(-2.0, 2.0, -10.0, 10.0))
+
+
+def test_conditional_field_rejects_an_outcome_on_another_grid(bundled_states):
+    state = bundled_states["s1_conditional"]
+    other = make_gaussian_packet(1.0, 0.0, 0.15, 0.0, GridSpec(-1.5, 4.7))
+    assert other.momenta.shape == state.momenta.shape
+    with pytest.raises(GridMismatchError):
+        conditional_field(state, make_final_outcome([1.0, -2.0], 2.0, other))
