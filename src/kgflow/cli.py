@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,6 @@ def _write_blocks(path: Path, header, blocks):
                 opening = (cells(lead) + ",") % tuple(lead) if lead else ""
                 fmt = opening.replace("%", "%%") + cells(rows[0]) + "\n"
                 fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
-
-
-def _write_csv(path: Path, header, rows):
-    """Rows of any kinds: each run of rows of one kind is one block of _write_blocks."""
-    runs = groupby(rows, lambda row: tuple(map(type, row)))
-    _write_blocks(path, header, (((), list(run)) for _, run in runs))
 
 
 def _write_json(path: Path, payload):
@@ -228,7 +222,7 @@ def _run_kernel(args, scenario: Scenario, out: Path) -> int:
             rows.append((d, k, oracle, abs(k - oracle) / abs(oracle)))
         else:
             rows.append((d, k, "", ""))
-    _write_csv(out / "kernel.csv", ["delta", "kernel", "oracle", "rel_err"], rows)
+    _write_blocks(out / "kernel.csv", ["delta", "kernel", "oracle", "rel_err"], [((), rows)])
     return 0
 
 

@@ -13,27 +13,28 @@ current exactly; `weighted_integrand` supplies the pole-free product
 j^a(x|f) |<f|i>|^2 used in that average, finite even at outcomes of
 vanishing probability.
 
-An ensemble keeps its outcomes' backward amplitudes as the rows of one
-state, so one kernel call evaluates both boundary states for every
-outcome and ensemble sums contract the outcome axis; a lone
-FinalOutcome is the one-row case of the same code.
+A stacked FinalOutcome keeps its outcomes' backward amplitudes as the
+rows of one state, so one kernel call evaluates both boundary states for
+every outcome and ensemble sums contract the outcome axis.  An
+OutcomeEnsemble is a stacked outcome with quadrature weights, and a lone
+outcome is the one-row case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .current import current_grid
 from .errors import CausalOrderError, CoverageError, ZeroProbabilityOutcomeError
-from .newton_wigner import nw_density_grid
+from .newton_wigner import nw_amplitude_grid, nw_density_grid
 from .states import (
     INV_SQRT_2PI,
     Event,
     FourVector,
     SpectralState,
+    _phase_table,
     _plane_wave_sum,
     _require_same_grid,
     _resolvable_range,
@@ -49,63 +50,46 @@ class FinalOutcome:
 
     backward_state holds the momentum representation <p|f> of the
     outcome projector on the same grid as the prepared state (it is not
-    unit-normalized); amplitude_fi caches <f|i> against that state.
+    unit-normalized); amplitude_fi caches <f|i>, the Newton-Wigner
+    amplitude of the prepared state at (q_value, T).  An array q_value
+    stacks outcomes: it, the rows of backward_state and amplitude_fi share
+    the leading outcome axis.  Array fields are read-only.
     """
 
-    q_value: float
+    q_value: float | np.ndarray
     T: float
     backward_state: SpectralState
-    amplitude_fi: complex
-
-
-@dataclass(frozen=True)
-class OutcomeEnsemble:
-    """Uniform grid of final outcomes with trapezoid quadrature weights.
-
-    backward_state holds the rows <p|f> (n_q, K) and amplitude_fi each
-    <f|i>, so an ensemble stands in for a FinalOutcome in evaluations.
-    """
-
-    q_grid: np.ndarray
-    weights: np.ndarray
-    T: float
-    backward_state: SpectralState
-    amplitude_fi: np.ndarray
+    amplitude_fi: complex | np.ndarray
 
     def __post_init__(self):
-        for arr in (self.q_grid, self.weights, self.amplitude_fi):
-            arr.setflags(write=False)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
-    @cached_property
-    def outcomes(self) -> tuple:
-        """One FinalOutcome per q, each viewing its row of backward_state."""
-        b = self.backward_state
-        return tuple(
-            FinalOutcome(float(q), self.T, replace(b, amplitudes=row), complex(amp))
-            for q, row, amp in zip(self.q_grid, b.amplitudes, self.amplitude_fi)
+    def rows(self, idx) -> FinalOutcome:
+        """The outcomes at index idx of a stacked outcome, stacked (one outcome for an int)."""
+        back = self.backward_state
+        return FinalOutcome(
+            self.q_value[idx], self.T, replace(back, amplitudes=back.amplitudes[idx]),
+            self.amplitude_fi[idx],
         )
 
 
-def _outcome_rows(f, rows) -> FinalOutcome:
-    """The outcomes at index rows of a stacked FinalOutcome or an ensemble, stacked.
+@dataclass(frozen=True)
+class OutcomeEnsemble(FinalOutcome):
+    """A stacked FinalOutcome on a uniform q grid, with trapezoid quadrature weights."""
 
-    Their positions, backward-state amplitudes and <f|i> share the leading
-    outcome axis, and all three take the same rows.
-    """
-    q = f.q_grid if isinstance(f, OutcomeEnsemble) else f.q_value
-    back = f.backward_state
-    return FinalOutcome(
-        q[rows], f.T, replace(back, amplitudes=back.amplitudes[rows]), f.amplitude_fi[rows]
-    )
+    weights: np.ndarray
 
 
 def _outcome_states(template: SpectralState, qs, T: float):
     """Backward states <p|f> for positions qs at time T, and each <f|i>.
 
     The amplitudes <p|f> = (2 pi)^-1/2 sqrt(p0) exp(-i (p q - p0 T)), one
-    row per q, give position amplitudes at t = T concentrated near x = q.
-    The overlaps <f|i> = sum w conj(<p|f>) a are taken against the
-    template, which is the prepared state.
+    row per q, are the conjugated phase table: position amplitudes at
+    t = T concentrated near x = q.  Against the template, which is the
+    prepared state, <f|i> is its Newton-Wigner amplitude at (q, T).
 
     q is limited to the range the template's momentum grid can resolve
     (states._resolvable_range), or the quadrature returns aliasing noise
@@ -118,11 +102,8 @@ def _outcome_states(template: SpectralState, qs, T: float):
             f"outcome position {q_far} is beyond the grid's resolvable range "
             f"|q| <= {q_bound:.1f}"
         )
-    p0 = template.energies
-    phase = np.multiply.outer(qs, template.momenta) - p0 * T
-    b = INV_SQRT_2PI * np.sqrt(p0) * np.exp(-1j * phase)
-    overlaps = np.conj(b) @ (template.weights * template.amplitudes)
-    return replace(template, amplitudes=b), overlaps
+    b = INV_SQRT_2PI * np.sqrt(template.energies) * np.conj(_phase_table(template, T, qs))
+    return replace(template, amplitudes=b), nw_amplitude_grid(template, qs, T)[()]
 
 
 def make_final_outcome(q, T: float, template: SpectralState) -> FinalOutcome:
@@ -130,7 +111,7 @@ def make_final_outcome(q, T: float, template: SpectralState) -> FinalOutcome:
 
     An array q stacks one backward row per entry, as conditional_field takes.
     """
-    q = np.asarray(q, dtype=float)[()]  # a float, or the array of outcome positions
+    q = np.array(q, dtype=float)[()]  # a float, or a copy of the outcome positions
     return FinalOutcome(q, float(T), *_outcome_states(template, q, T))
 
 
@@ -210,7 +191,7 @@ def conditional_current(
 
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
-    """Vectorized pole-free j^a(x|f) |<f|i>|^2; an ensemble f adds an outcome axis."""
+    """Vectorized pole-free j^a(x|f) |<f|i>|^2; a stacked f adds an outcome axis."""
     return _weighted_grid(initial, f, t, xs, columns=3)
 
 
@@ -261,13 +242,12 @@ def make_outcome_ensemble(
     weights = np.full(n_q, dq)
     weights[0] = weights[-1] = 0.5 * dq
     backward, overlaps = _outcome_states(initial, qs, T)
-    ens = OutcomeEnsemble(qs, weights, float(T), backward, overlaps)
-    total = float(np.dot(weights, outcome_probabilities(initial, ens)))
+    total = float(np.dot(weights, np.abs(overlaps) ** 2))
     if abs(total - 1.0) > coverage_tol:
         raise CoverageError(
             f"ensemble captures probability {total:.6f}, outside 1 +/- {coverage_tol}"
         )
-    return ens
+    return OutcomeEnsemble(qs, float(T), backward, overlaps, weights)
 
 
 def outcome_probabilities(initial: SpectralState, ens: OutcomeEnsemble):
@@ -276,7 +256,7 @@ def outcome_probabilities(initial: SpectralState, ens: OutcomeEnsemble):
     <f|i> at q is the Newton-Wigner amplitude at (q, T): one kernel call.
     """
     _require_same_grid(initial, ens.backward_state)
-    return nw_density_grid(initial, ens.q_grid, ens.T)
+    return nw_density_grid(initial, ens.q_value, ens.T)
 
 
 def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> float:

@@ -71,6 +71,14 @@ def nw_density_grid(state: SpectralState, qs, t: float):
     return np.abs(nw_amplitude_grid(state, qs, t)) ** 2
 
 
+# The head sum below has an absolute rounding floor of about 1e-14, while the
+# kernel K0(m|delta|)/pi falls like exp(-m|delta|) and depends on m|delta| alone.
+# Against bessel_k0 the relative error is 1.7e-9 at m|delta| = 10, 5.2e-5 at 20
+# and 9.1e-3 at 25, and at 30 the sign is wrong: past this bound the quadrature
+# no longer resolves the kernel.
+MAX_MASS_SEPARATION = 20.0
+
+
 def _kernel_relativistic(mass: float, delta: float) -> float:
     """(1/2pi) int exp(i p delta)/p0 dp over the real line.
 
@@ -78,12 +86,18 @@ def _kernel_relativistic(mass: float, delta: float) -> float:
     oscillatory head is integrated on panels no wider than half an
     oscillation period (and graded near p = 0 where 1/p0 curves), and
     the slowly decaying tail beyond P is summed by repeated integration
-    by parts; with P*delta >= 3000 the fourth-order remainder is far
-    below 1e-9 of the kernel value across the supported mass range.
+    by parts, whose fourth-order remainder is negligible with
+    P*delta >= 3000.  The head sum's rounding bounds m|delta| by
+    MAX_MASS_SEPARATION; beyond it the kernel raises DomainError.
     """
     d = abs(delta)
     if d == 0:
         raise DomainError("equal-time kernel diverges logarithmically at zero separation")
+    if mass * d > MAX_MASS_SEPARATION:
+        raise DomainError(
+            f"separation {delta:g} at mass {mass:g} puts m|delta| = {mass * d:g} beyond "
+            f"{MAX_MASS_SEPARATION:g}, where the kernel's quadrature is rounding noise"
+        )
     big_p = max(3000.0 / d, 30.0 * mass + 10.0)
 
     # integration-by-parts corrections for int_P^inf cos(p d) f(p) dp; below

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NodeError
 from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
-from .conditional import FinalOutcome, _bilinear, _conditional_current, _outcome_rows
+from .conditional import FinalOutcome, _bilinear, _conditional_current
 from .states import Event, FourVector, SpectralState, _phase_table, _require_same_grid
 
 FieldHandle = Callable[[Event], FourVector]
@@ -131,7 +131,7 @@ def conditional_field(
     own = initial._psi_dpsi_columns[..., 0]  # the weighted amplitudes
 
     def rows(seeds):
-        f = outcome if np.size(outcome.q_value) == 1 else _outcome_rows(outcome, seeds)
+        f = outcome if np.size(outcome.q_value) == 1 else outcome.rows(seeds)
         coeffs = np.stack(np.broadcast_arrays(own, f.backward_state._psi_dpsi_columns[..., 0].T))
 
         def read(t, values):

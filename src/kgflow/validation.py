@@ -19,7 +19,6 @@ import numpy as np
 
 from ._quad import _legendre_rule
 from .conditional import (
-    _outcome_rows,
     decompose_check,
     outcome_probabilities,
     weighted_density_grid,
@@ -112,14 +111,14 @@ def run_validation(scenario: Scenario) -> dict:
 
     ensemble = build_ensemble(scenario, state)
     rho = outcome_probabilities(state, ensemble)
-    keep = np.nonzero(rho >= OUTCOME_RHO_FLOOR * rho.max())[0]
-    a2_keep = np.abs(ensemble.amplitude_fi[keep]) ** 2
+    kept = ensemble.rows(np.nonzero(rho >= OUTCOME_RHO_FLOOR * rho.max())[0])
+    a2_kept = np.abs(kept.amplitude_fi) ** 2
     T = ensemble.T
 
     def j_cond(t, x):
-        # pole-free form over the fixed outcome amplitudes, kept outcomes only
-        w0, w1 = weighted_integrand_grid(state, ensemble, t, x)
-        return w0[..., keep] / a2_keep, w1[..., keep] / a2_keep
+        # pole-free form over the fixed outcome amplitudes
+        w0, w1 = weighted_integrand_grid(state, kept, t, x)
+        return w0 / a2_kept, w1 / a2_kept
 
     cond_events = _event_grid(
         np.array([0.2, 0.5, 0.8]) * T, np.linspace(0.3 * box.x_lo, 0.3 * box.x_hi, 3)
@@ -127,15 +126,15 @@ def run_validation(scenario: Scenario) -> dict:
     start = perf_counter()
     worst_cond, _ = _continuity_scan(j_cond, cond_events, length)
     checks["continuity_conditional"] = _entry(
-        worst_cond, "continuity_conditional", start, outcomes_checked=int(keep.size)
+        worst_cond, "continuity_conditional", start, outcomes_checked=int(kept.q_value.size)
     )
 
     start = perf_counter()
     norm_defect = conditional_normalization_defect(
-        scenario, state, ensemble, keep, times=np.array([0.2, 0.5, 0.8]) * T
+        scenario, state, kept, times=np.array([0.2, 0.5, 0.8]) * T
     )
     checks["conditional_normalization"] = _entry(
-        norm_defect, "conditional_normalization", start, outcomes_checked=int(keep.size)
+        norm_defect, "conditional_normalization", start, outcomes_checked=int(kept.q_value.size)
     )
 
     dec_events = _event_grid(
@@ -193,20 +192,19 @@ def _support_bounds(scenario: Scenario, t_max: float, margin: float):
     return min(los) - margin, max(his) + margin
 
 
-def conditional_normalization_defect(scenario, state, ensemble, keep, times) -> float:
-    """Worst |integral of conditional density - 1| over outcomes and times."""
-    t_max = max(float(np.max(times)), ensemble.T)
+def conditional_normalization_defect(scenario, state, outcome, times) -> float:
+    """Worst |integral of conditional density - 1| over a stacked outcome's rows and times."""
+    t_max = max(float(np.max(times)), outcome.T)
     margin = 16.0 / scenario.mass
     lo, hi = _support_bounds(scenario, t_max, margin=margin)
-    lo = min(lo, float(ensemble.q_grid.min()) - margin)
-    hi = max(hi, float(ensemble.q_grid.max()) + margin)
+    lo = min(lo, float(outcome.q_value.min()) - margin)
+    hi = max(hi, float(outcome.q_value.max()) + margin)
     panels = max(96, int(np.ceil((hi - lo) / 0.5)))
     xs, w = _gauss_lattice(lo, hi, panels, 16)
-    kept = _outcome_rows(ensemble, keep)
-    a2 = np.abs(kept.amplitude_fi) ** 2
+    a2 = np.abs(outcome.amplitude_fi) ** 2
     worst = 0.0
     for t in times:
-        totals = (w @ weighted_density_grid(state, kept, float(t), xs)) / a2
+        totals = (w @ weighted_density_grid(state, outcome, float(t), xs)) / a2
         worst = max(worst, float(np.max(np.abs(totals - 1.0))))
     return worst
 

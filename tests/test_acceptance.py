@@ -288,7 +288,7 @@ def test_criterion_09_rest_frame_positivity(s1):
 def test_criterion_10_retrocausal_dependence(bundled_states):
     state = bundled_states["s1_conditional"]
     ens = make_outcome_ensemble(state, 2.0, -16.0, 20.0, 41)
-    peak = max(abs(f.amplitude_fi) ** 2 for f in ens.outcomes)
+    peak = float(np.max(np.abs(ens.amplitude_fi) ** 2))
     f1 = make_final_outcome(-2.0, 2.0, state)
     f2 = make_final_outcome(4.0, 2.0, state)
     for f in (f1, f2):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kgflow import CausalClass, Event, build_ensemble, make_final_outcome
-from kgflow.cli import _write_blocks, _write_csv, main
+from kgflow.cli import _write_blocks, main
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import Lattice
@@ -300,11 +300,14 @@ def test_write_csv_matches_per_cell_join(tmp_path):
         (0.1, -0.0, float("inf"), float("-inf"), float("nan"), "null-vector"),
     ]
     header = ["a", "b", "c", "d", "e", "f"]
-    _write_csv(tmp_path / "new.csv", header, iter(rows))
+    kinds = {}  # one block per row kind, in order of first appearance
+    for row in rows:
+        kinds.setdefault(tuple(map(type, row)), []).append(row)
+    _write_blocks(tmp_path / "new.csv", header, [((), block) for block in kinds.values()])
     # the per-cell writer the row formats replace
     text = ",".join(header) + "\n" + "".join(
         ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
-        for row in rows
+        for block in kinds.values() for row in block
     )
     assert (tmp_path / "new.csv").read_bytes() == text.encode("utf-8")
 
@@ -360,6 +363,16 @@ def test_kernel_below_float_range_is_domain_error(tmp_path, capsys):
                "--delta-lo", "1e-300", "--delta-hi", "2e-300", "--n", "2"])
     assert rc == 3
     assert "separation 1e-300" in capsys.readouterr().err
+    assert not (out / "kernel.csv").exists()
+
+
+def test_kernel_beyond_resolved_separation_is_domain_error(tmp_path, capsys):
+    # m|delta| = 30 at mass 1: the quadrature's rounding floor exceeds the kernel
+    out = tmp_path / "out"
+    rc = main(["kernel", "--scenario", "single_rest", "--out", str(out),
+               "--delta-lo", "25", "--delta-hi", "30", "--n", "3"])
+    assert rc == 3
+    assert "m|delta|" in capsys.readouterr().err
     assert not (out / "kernel.csv").exists()
 
 

@@ -24,7 +24,7 @@ from kgflow.conditional import (
     conditional_current_grid,
     weighted_integrand_grid,
 )
-from kgflow.newton_wigner import nw_density_grid
+from kgflow.newton_wigner import nw_amplitude_grid, nw_density_grid
 from kgflow.scenarios import build_ensemble, build_state
 from kgflow.states import psi_grid
 from kgflow._quad import gauss_panels
@@ -50,10 +50,25 @@ def test_outcome_amplitude_equals_nw_amplitude(s1_state, s1_ensemble):
     # over the whole ensemble grid: the Born weights are the NW density at T,
     # and both match the overlaps <f|i> of the backward states themselves
     rho = outcome_probabilities(s1_state, s1_ensemble)
-    nw = nw_density_grid(s1_state, s1_ensemble.q_grid, s1_ensemble.T)
-    overlaps = [abs(inner(o.backward_state, s1_state)) ** 2 for o in s1_ensemble.outcomes]
+    nw = nw_density_grid(s1_state, s1_ensemble.q_value, s1_ensemble.T)
+    overlaps = [
+        abs(inner(s1_ensemble.rows(k).backward_state, s1_state)) ** 2
+        for k in range(s1_ensemble.q_value.size)
+    ]
     np.testing.assert_allclose(rho, nw, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rho, overlaps, rtol=1e-12, atol=0)
+
+
+def test_final_outcome_owns_read_only_arrays(s1_state, s1_ensemble):
+    q = np.array([0.0, 1.0])
+    f = make_final_outcome(q, 2.0, s1_state)
+    q[0] = 5.0  # the caller's array stays writable and the outcome keeps its copy
+    np.testing.assert_array_equal(f.q_value, [0.0, 1.0])
+    assert q.flags.writeable
+    for arr in (f.q_value, f.amplitude_fi, s1_ensemble.q_value, s1_ensemble.weights,
+                s1_ensemble.amplitude_fi, s1_ensemble.rows([0, 1]).q_value):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_outcome_state_localizes_at_q(s1_state):
@@ -132,7 +147,7 @@ def test_conditional_density_normalized(s1_state, s1_ensemble):
     keep = np.nonzero(rho >= 1e-4 * rho.max())[0]
     xs, w = gauss_panels(-34.0, 38.0, 144, 16)
     for idx in keep[::6]:
-        f = s1_ensemble.outcomes[idx]
+        f = s1_ensemble.rows(idx)
         for t in (0.4, 1.0, 1.6):
             j0, _ = conditional_current_grid(s1_state, f, t, xs)
             assert abs(float(np.dot(w, j0)) - 1.0) < 1e-3
@@ -215,7 +230,8 @@ def test_weighted_sum_reality(s1_state, s1_ensemble):
     # sits at the same scale as the decomposition gap
     for e in EVENTS[:3]:
         acc0 = 0.0 + 0.0j
-        for w_q, f in zip(s1_ensemble.weights, s1_ensemble.outcomes):
+        for k, w_q in enumerate(s1_ensemble.weights):
+            f = s1_ensemble.rows(k)
             e0, _ = _bilinear_grid(s1_state, f, e.t, np.asarray([e.x]))
             acc0 += w_q * np.conj(f.amplitude_fi) * complex(e0[0])
         assert abs(acc0.real) < 1e-4 * abs(acc0)
@@ -226,11 +242,22 @@ def test_ensemble_batch_matches_single_outcomes(s1_conditional_scenario):
     # against the single-outcome path as the reference
     state = build_state(s1_conditional_scenario)
     ens = build_ensemble(s1_conditional_scenario, state)
+    assert isinstance(ens, FinalOutcome)
+    # <f|i> is the Newton-Wigner amplitude, from the one kernel
+    assert np.array_equal(ens.amplitude_fi, nw_amplitude_grid(state, ens.q_value, ens.T))
+    back_peak = np.abs(ens.backward_state.amplitudes).max()
+    amp_peak = np.abs(ens.amplitude_fi).max()
+    for k, q in enumerate(ens.q_value):
+        row, single = ens.rows(k), make_final_outcome(q, ens.T, state)
+        gap = np.abs(row.backward_state.amplitudes - single.backward_state.amplitudes).max()
+        assert gap <= 1e-15 * back_peak
+        assert abs(row.amplitude_fi - single.amplitude_fi) <= 1e-15 * amp_peak
     xs = np.array([-3.0, 0.0, 2.5])
     for t in (0.0, 0.8, 1.6):
         w0, w1 = weighted_integrand_grid(state, ens, t, xs)
-        assert w0.shape == w1.shape == (xs.size, len(ens.outcomes))
-        for k, f in enumerate(ens.outcomes):
+        assert w0.shape == w1.shape == (xs.size, ens.q_value.size)
+        for k in range(ens.q_value.size):
+            f = ens.rows(k)
             r0, r1 = weighted_integrand_grid(state, f, t, xs)
             scale = np.hypot(r0, r1)
             assert np.all(np.abs(w0[:, k] - r0) <= 1e-12 * scale)
@@ -254,7 +281,7 @@ def test_weighted_integrand_on_lattice_matches_array_path(s1_conditional_scenari
     for t in (0.4, 1.6):
         w0, w1 = weighted_integrand_grid(state, ens, t, grid)
         r0, r1 = weighted_integrand_grid(state, ens, t, xs)
-        assert w0.shape == r0.shape == (xs.size, ens.q_grid.size)
+        assert w0.shape == r0.shape == (xs.size, ens.q_value.size)
         for got, ref in ((w0, r0), (w1, r1)):
             peak = np.abs(ref).max(axis=0)
             assert np.all(np.abs(got - ref).max(axis=0) <= 1e-13 * peak)

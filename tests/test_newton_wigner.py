@@ -105,6 +105,13 @@ def test_kernel_compton_decay():
         assert position_kernel(mass, delta, REL) == pytest.approx(asym, rel=0.05)
 
 
+def test_kernel_raises_beyond_resolved_separation():
+    # past m|delta| = 20 the head sum's rounding floor swamps K0(m|delta|)/pi
+    assert position_kernel(1.0, 20.0, REL) > 0
+    with pytest.raises(DomainError, match="m\\|delta\\|"):
+        position_kernel(1.0, 20.5, REL)
+
+
 def test_dirichlet_mode_delta_sequence():
     # convolving a narrow smooth function reproduces it as the cutoff grows
     phi = lambda x: np.exp(-(x**2) / (2 * 0.3**2))

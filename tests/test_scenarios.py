@@ -38,7 +38,7 @@ def test_bundled_scenarios_load_and_build():
         assert state.mass == sc.mass
         if sc.final is not None:
             ens = build_ensemble(sc, state)
-            assert len(ens.outcomes) == sc.final.n_q
+            assert ens.q_value.size == sc.final.n_q
 
 
 def test_unknown_scenario_name_rejected(tmp_path):
