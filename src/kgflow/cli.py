@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditional import make_final_outcome
+from .conditional import DEFAULT_AMPLITUDE_FLOOR, make_final_outcome
 from .current import _CLASS_VALUES, current_grid
 from .errors import DomainError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
@@ -155,7 +155,7 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
         if conditional:
             peak = float(np.abs(build_ensemble(scenario, state).amplitude_fi).max())
             outcomes = make_final_outcome([seeds[i][1] for i in group], scenario.final.T, state)
-            field = conditional_field(state, outcomes, 1e-8 * peak)
+            field = conditional_field(state, outcomes, DEFAULT_AMPLITUDE_FLOOR * peak)
             # stop before T: RK4 stages reach at most one step past an event
             t_hi = min(box.t_hi, scenario.final.T - args.step)
             if not box.t_lo < t_hi:

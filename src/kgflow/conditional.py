@@ -4,14 +4,15 @@ Given a prepared state and the recorded Newton-Wigner position q at a
 later time T, the flow at intermediate events is described by a
 current built from both boundary states,
 
-    j^a(x|f)  ~  Im[ (<f|x> d^a<x|i> - d^a<f|x> <x|i>) / <f|i> ] / (2m),
+    j^a(x|f)  ~  Im[ (<f|x> d^a<x|i> - d^a<f|x> <x|i>) / <f|i> ] / 2,
 
 oriented to agree with the unconditional current when the conditioning
 state is the evolved prepared state itself.  Averaging over all
 outcomes with Born weights |<f|i>|^2 reproduces the unconditional
-current exactly; `weighted_integrand` supplies the pole-free product
-j^a(x|f) |<f|i>|^2 used in that average, finite even at outcomes of
-vanishing probability.
+current exactly; that average is taken over the pole-free product
+j^a(x|f) |<f|i>|^2 (`weighted_integrand`), finite even at outcomes of
+vanishing probability, and the conditional current is that product over
+|<f|i>|^2.
 
 A stacked FinalOutcome keeps its outcomes' backward amplitudes as the
 rows of one state, so one kernel call evaluates both boundary states for
@@ -145,19 +146,20 @@ def _require_before(f, t):
         raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
 
 
-def _conditional_current(initial, f, t, amplitude_floor, bilinear):
-    """The floor and causal checks, then j^a = -Im(E^a / <f|i>) / 2m from bilinear()'s E^a."""
-    amplitude = np.abs(f.amplitude_fi).min()
-    if amplitude <= amplitude_floor:
+def _weighted_from(f, bilinear):
+    """The pole-free products w^a = -Im(conj(<f|i>) E^a) / 2, one per E^a of bilinear."""
+    amp_bar = np.conj(f.amplitude_fi)
+    return tuple(-0.5 * np.imag(amp_bar * e) for e in bilinear)
+
+
+def _checked_probability(f, amplitude_floor):
+    """|<f|i>|^2 of every outcome of f, after the amplitude-floor check."""
+    amplitude = np.abs(f.amplitude_fi)
+    if amplitude.min() <= amplitude_floor:
         raise ZeroProbabilityOutcomeError(
-            f"outcome amplitude {amplitude:.3e} at or below floor {amplitude_floor:.3e}"
+            f"outcome amplitude {amplitude.min():.3e} at or below floor {amplitude_floor:.3e}"
         )
-    _require_before(f, t)
-    e0, e1 = bilinear()
-    scale = -0.5 / initial.mass
-    j0 = scale * np.imag(e0 / f.amplitude_fi)
-    j1 = scale * np.imag(e1 / f.amplitude_fi)
-    return j0, j1
+    return amplitude**2
 
 
 def conditional_current_grid(
@@ -167,10 +169,9 @@ def conditional_current_grid(
     xs,
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
 ):
-    """Vectorized conditional (j0, j1) over positions at fixed t."""
-    return _conditional_current(
-        initial, f, t, amplitude_floor, lambda: _bilinear_grid(initial, f, t, xs)
-    )
+    """Vectorized conditional (j0, j1) over positions at fixed t: w^a / |<f|i>|^2."""
+    a2 = _checked_probability(f, amplitude_floor)
+    return tuple(w / a2 for w in weighted_integrand_grid(initial, f, t, xs))
 
 
 def conditional_current(
@@ -204,9 +205,7 @@ def weighted_density_grid(initial: SpectralState, f, t: float, xs):
 def _weighted_grid(initial, f, t, xs, columns):
     """The pole-free products for the E^a that _bilinear_grid forms from columns columns."""
     _require_before(f, t)
-    scale = -0.5 / initial.mass
-    amp_bar = np.conj(f.amplitude_fi)
-    return tuple(scale * np.imag(amp_bar * e) for e in _bilinear_grid(initial, f, t, xs, columns))
+    return _weighted_from(f, _bilinear_grid(initial, f, t, xs, columns))
 
 
 def weighted_integrand(initial: SpectralState, f: FinalOutcome, e: Event) -> FourVector:
@@ -268,7 +267,8 @@ def decompose_check(initial: SpectralState, ens: OutcomeEnsemble, events) -> flo
     only.  The integrand at every event for every outcome is one kernel
     call, and the direct current one more.
     """
-    rho = outcome_probabilities(initial, ens)
+    _require_same_grid(initial, ens.backward_state)
+    rho = np.abs(ens.amplitude_fi) ** 2
     covered = float(np.dot(ens.weights, rho))
     if covered < 1.0 - COVERAGE_TOL:
         raise CoverageError(

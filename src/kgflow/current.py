@@ -1,12 +1,13 @@
 """Conserved probability 4-current of the scalar relativistic wave equation.
 
 The current is the bidirectional-derivative bilinear of the wavefunction,
-j^a = Im(conj(d^a psi) * psi) / m, oriented so that a forward-propagating
-plane wave carries j^a = + p^a |psi|^2 / m.  Its zeroth component plays
-the role of a density but is not positive definite: superpositions of
-purely positive-energy packets develop pockets of negative density.  The
-divergence d_t j^0 + d_x j^1 vanishes identically for solutions, which
-the finite-difference residual here probes without reusing the spectral
+j^a = Im(conj(d^a psi) * psi), oriented so that a forward-propagating
+plane wave carries j^a = + p^a |psi|^2; a normalized state carries total
+charge 1 at every mass.  The zeroth component plays the role of a density
+but is not positive definite: superpositions of purely positive-energy
+packets develop pockets of negative density.  The divergence
+d_t j^0 + d_x j^1 vanishes identically for solutions, which the
+finite-difference residual here probes without reusing the spectral
 derivatives.
 
 All functions are pure; grid scans are safe to parallelize.
@@ -49,14 +50,14 @@ class DensityInterval:
             raise ValueError("min_j0 must be negative")
 
 
-def _current_from(mass: float, psi, d0, d1):
-    """j^a = Im(conj(d^a psi) psi) / m, elementwise."""
-    return np.imag(np.conj(d0) * psi) / mass, np.imag(np.conj(d1) * psi) / mass
+def _current_from(psi, d0, d1):
+    """j^a = Im(conj(d^a psi) psi), elementwise."""
+    return np.imag(np.conj(d0) * psi), np.imag(np.conj(d1) * psi)
 
 
 def current_grid(state: SpectralState, t: float, xs):
     """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t."""
-    return _current_from(state.mass, *psi_dpsi_grid(state, t, xs))
+    return _current_from(*psi_dpsi_grid(state, t, xs))
 
 
 def current(state: SpectralState, e: Event) -> FourVector:

@@ -34,7 +34,10 @@ import numpy as np
 
 from .errors import NodeError
 from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
-from .conditional import FinalOutcome, _bilinear, _conditional_current
+from .conditional import (
+    DEFAULT_AMPLITUDE_FLOOR, FinalOutcome, _bilinear, _checked_probability, _require_before,
+    _weighted_from,
+)
 from .states import Event, FourVector, SpectralState, _phase_table, _require_same_grid
 
 FieldHandle = Callable[[Event], FourVector]
@@ -114,18 +117,19 @@ def standard_field(state: SpectralState) -> FieldHandle:
     coeffs = state._psi_dpsi_columns[None, None, :, 0]  # the weighted amplitudes
 
     def read(t, values):
-        return _current_from(state.mass, *values[:, 0].T)
+        return _current_from(*values[:, 0].T)
 
     return TableField(state, lambda t, x: current_grid(state, t, x), lambda seeds: (coeffs, read))
 
 
 def conditional_field(
-    initial: SpectralState, outcome: FinalOutcome, amplitude_floor: float = 1e-8
+    initial: SpectralState, outcome: FinalOutcome, amplitude_floor=DEFAULT_AMPLITUDE_FLOOR
 ) -> FieldHandle:
     """Field handle for the current conditioned on a final outcome.
 
     A stacked outcome (make_final_outcome with an array of q) conditions row
     i of each event on outcome i, at cost linear in the number of rows.
+    The amplitude floor is checked once per set of rows, not per evaluation.
     """
     _require_same_grid(initial, outcome.backward_state)
     own = initial._psi_dpsi_columns[..., 0]  # the weighted amplitudes
@@ -133,10 +137,11 @@ def conditional_field(
     def rows(seeds):
         f = outcome if np.size(outcome.q_value) == 1 else outcome.rows(seeds)
         coeffs = np.stack(np.broadcast_arrays(own, f.backward_state._psi_dpsi_columns[..., 0].T))
+        a2 = _checked_probability(f, amplitude_floor)
 
         def read(t, values):
-            bilinear = lambda: _bilinear(values[:, 0], values[:, 1])  # noqa: E731
-            return _conditional_current(initial, f, t, amplitude_floor, bilinear)
+            _require_before(f, t)
+            return tuple(w / a2 for w in _weighted_from(f, _bilinear(values[:, 0], values[:, 1])))
 
         return coeffs.reshape(2, -1, own.size), read
 

@@ -18,12 +18,7 @@ from time import perf_counter
 import numpy as np
 
 from ._quad import _legendre_rule
-from .conditional import (
-    decompose_check,
-    outcome_probabilities,
-    weighted_density_grid,
-    weighted_integrand_grid,
-)
+from .conditional import conditional_current_grid, decompose_check, weighted_density_grid
 from .current import central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
@@ -110,21 +105,17 @@ def run_validation(scenario: Scenario) -> dict:
     checks["continuity_standard"] = _entry(rel, "continuity_standard", start, order_ratio=order)
 
     ensemble = build_ensemble(scenario, state)
-    rho = outcome_probabilities(state, ensemble)
+    rho = np.abs(ensemble.amplitude_fi) ** 2
     kept = ensemble.rows(np.nonzero(rho >= OUTCOME_RHO_FLOOR * rho.max())[0])
-    a2_kept = np.abs(kept.amplitude_fi) ** 2
     T = ensemble.T
-
-    def j_cond(t, x):
-        # pole-free form over the fixed outcome amplitudes
-        w0, w1 = weighted_integrand_grid(state, kept, t, x)
-        return w0 / a2_kept, w1 / a2_kept
 
     cond_events = _event_grid(
         np.array([0.2, 0.5, 0.8]) * T, np.linspace(0.3 * box.x_lo, 0.3 * box.x_hi, 3)
     )
     start = perf_counter()
-    worst_cond, _ = _continuity_scan(j_cond, cond_events, length)
+    worst_cond, _ = _continuity_scan(
+        lambda t, x: conditional_current_grid(state, kept, t, x), cond_events, length
+    )
     checks["continuity_conditional"] = _entry(
         worst_cond, "continuity_conditional", start, outcomes_checked=int(kept.q_value.size)
     )
@@ -145,7 +136,7 @@ def run_validation(scenario: Scenario) -> dict:
     checks["decomposition_l2"] = _entry(dec, "decomposition_l2", start)
 
     start = perf_counter()
-    deltas = np.linspace(0.1, 5.0, 25)
+    deltas = np.linspace(0.1, 5.0, 25) / scenario.mass  # m |delta| in 0.1..5
     mode = KernelMode(tag="relativistic")
     oracles = [bessel_k0(scenario.mass * d) / np.pi for d in deltas]
     kernel_err = max(

@@ -24,6 +24,17 @@ TRUNCATED = {
     "final": {"T": 2.0, "q_lo": -11.0, "q_hi": 11.0, "n_q": 31},
 }
 
+HEAVY_REST = {
+    "name": "heavy_rest",
+    "mass": 5.0,
+    "packets": [
+        {"p_center": 0.0, "p_width": 0.3, "x_center": 0.0, "coeff_re": 1.0, "coeff_im": 0.0}
+    ],
+    "grid": {"p_min": -3.0, "p_max": 3.0, "panels": 8, "nodes_per_panel": 32},
+    "box": {"t_lo": -1.0, "t_hi": 1.0, "x_lo": -10.0, "x_hi": 10.0},
+    "final": {"T": 2.0, "q_lo": -13.0, "q_hi": 13.0, "n_q": 41},
+}
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -137,9 +148,13 @@ def test_trajectories_bad_seed_syntax(tmp_path, capsys):
         assert f"seed {seed!r}" in capsys.readouterr().err
 
 
-def test_validate_bundled_scenario_passes(tmp_path):
+@pytest.mark.parametrize("scenario", ["s1_conditional", "heavy_rest"])
+def test_validate_bundled_scenario_passes(tmp_path, scenario):
+    if scenario == "heavy_rest":  # mass 5: the current's normalization and kernel range
+        scenario = tmp_path / "heavy_rest.json"
+        scenario.write_text(json.dumps(HEAVY_REST))
     out = tmp_path / "out"
-    rc = main(["validate", "--scenario", "s1_conditional", "--out", str(out)])
+    rc = main(["validate", "--scenario", str(scenario), "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "validation_report.json").read_text())
     assert report["all_pass"] is True

@@ -123,6 +123,11 @@ def test_weighted_integrand_is_conditional_times_probability(s1_state):
             c = conditional_current(s1_state, f, e)
             assert w.v0 == pytest.approx(c.v0 * rho, rel=1e-8, abs=1e-300)
             assert w.v1 == pytest.approx(c.v1 * rho, rel=1e-8, abs=1e-300)
+            # the quotient form -Im(E^a / <f|i>) / 2, formed independently
+            e0, e1 = _bilinear_grid(s1_state, f, e.t, np.asarray([e.x]))
+            ref0, ref1 = (-0.5 * float(np.imag(z[0] / f.amplitude_fi)) for z in (e0, e1))
+            assert c.v0 == pytest.approx(ref0, rel=1e-12, abs=0)
+            assert c.v1 == pytest.approx(ref1, rel=1e-12, abs=0)
 
 
 def test_weighted_integrand_finite_at_negligible_amplitude(s1_state):

@@ -8,11 +8,13 @@ from kgflow import (
     DomainError,
     Event,
     FourVector,
+    GridSpec,
     boost,
     classify,
     continuity_residual,
     current,
     density,
+    make_gaussian_packet,
     rest_density,
     scan_negative_density,
 )
@@ -47,7 +49,8 @@ def test_single_packet_density_positive(rest_packet, narrow_boosted):
 
 def test_total_probability(s1_state, rest_packet):
     xs, w = gauss_panels(-40.0, 40.0, 200, 16)
-    for state in (s1_state, rest_packet):
+    heavy = make_gaussian_packet(3.0, 0.0, 0.25, 0.0, GridSpec(-3.0, 3.0))
+    for state in (s1_state, rest_packet, heavy):
         j0, _ = current_grid(state, 0.0, xs)
         assert abs(np.dot(w, j0) - 1.0) < 1e-4
 
