@@ -106,10 +106,53 @@ def test_kernel_compton_decay():
 
 
 def test_kernel_raises_beyond_resolved_separation():
-    # past m|delta| = 20 the head sum's rounding floor swamps K0(m|delta|)/pi
+    # the head's rounding floor of about 1e-16 leaves 4.7e-7 relative error at
+    # m|delta| = 20, 5.3e-5 at 25 and 5.0e-3 at 30, so the kernel stops at 20
     assert position_kernel(1.0, 20.0, REL) > 0
     with pytest.raises(DomainError, match="m\\|delta\\|"):
         position_kernel(1.0, 20.5, REL)
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0, 5.0])
+def test_kernel_accuracy_against_scipy(mass):
+    # the alternating phase-unit head keeps the absolute error near 1e-16; from
+    # m|delta| = 2 pi on (mass 5, delta = 4 among them) there is no geometric run
+    # and the pi-wide phase panels start at p = 0
+    for zs, bound in ((np.linspace(0.1, 5.0, 99), 1e-13), (np.linspace(5.0, 20.0, 76), 1e-6)):
+        for z in zs:
+            oracle = scipy_k0(z) / np.pi
+            assert abs(position_kernel(mass, float(z / mass), REL) - oracle) <= bound * oracle
+
+
+@pytest.mark.parametrize("mode", [REL, KernelMode(tag="nonrelativistic")])
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_kernel_rejects_non_finite_separation(mode, delta):
+    with pytest.raises(ValueError, match="finite"):
+        position_kernel(1.0, delta, mode)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf])
+def test_bessel_rejects_non_finite_argument(z):
+    with pytest.raises(ValueError, match="finite"):
+        bessel_k0(z)
+
+
+def test_kernel_phase_run_ending_on_big_p():
+    # three geometric panels end at p = 2.375 m, so theta0 = 2.375 m|delta| and
+    # P|delta| - theta0 = 3000 - 2.375 m|delta| is 953 pi to rounding: in most of these
+    # floats the 953rd phase panel ends at or past P, so the run must stop one short
+    # (the last panel then left empty makes gauss_panels_edges raise)
+    centre = (3000.0 - 953.0 * np.pi) / 2.375
+    for delta in centre + np.spacing(centre) * np.arange(-4, 5):
+        oracle = scipy_k0(delta) / np.pi
+        assert abs(position_kernel(1.0, float(delta), REL) - oracle) <= 1e-13 * oracle
+
+
+def test_kernel_dense_sweep_positive_and_decreasing():
+    for mass in (1.0, 3.0):
+        vals = [position_kernel(mass, float(z / mass), REL) for z in np.linspace(0.05, 20.0, 400)]
+        assert min(vals) > 0
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_dirichlet_mode_delta_sequence():
