@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file or bundled name")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect (N >= 1)")
 
     p_density = sub.add_parser("density", help="sample j0, j1 and the NW density on an x-grid")
     common(p_density)
@@ -101,15 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_density(args, scenario: Scenario, out: Path) -> int:
+    """density.csv over the box at --t; a --t out of the grid's range is a DomainError."""
     if args.n_x < 2:
         raise ValueError("--n-x must be at least 2")
     lo, hi = scenario.box.x_lo, scenario.box.x_hi
-    bound, reach = scenario.grid.resolvable_range, max(abs(lo), abs(hi)) + abs(args.t)
-    if reach > bound:
-        raise DomainError(
-            f"--t {args.t:g} puts max|x| + |t| = {reach:g} beyond the grid's "
-            f"resolvable range {bound:.1f}"
-        )
     state = build_state(scenario)
     xs = uniform_lattice(lo, hi, args.n_x)
     columns = (np.linspace(lo, hi, args.n_x), *current_grid(state, args.t, xs))
@@ -227,10 +220,7 @@ def _run_kernel(args, scenario: Scenario, out: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = build_parser().parse_args(argv)
     handlers = {
         "density": _run_density,
         "trajectories": _run_trajectories,

@@ -38,7 +38,6 @@ from .states import (
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
-    _resolvable_range,
 )
 
 COVERAGE_TOL = 1e-4
@@ -90,19 +89,9 @@ def _outcome_states(template: SpectralState, qs, T: float):
     The amplitudes <p|f> = (2 pi)^-1/2 sqrt(p0) exp(-i (p q - p0 T)), one
     row per q, are the conjugated phase table: position amplitudes at
     t = T concentrated near x = q.  Against the template, which is the
-    prepared state, <f|i> is its Newton-Wigner amplitude at (q, T).
-
-    q is limited to the range the template's momentum grid can resolve
-    (states._resolvable_range), or the quadrature returns aliasing noise
-    instead of amplitudes.
+    prepared state, <f|i> is its Newton-Wigner amplitude at (q, T).  A q
+    with |q| + |T| past the grid's range, or a NaN q, raises DomainError.
     """
-    q_bound = _resolvable_range(template.momenta)
-    q_far = float(np.max(np.abs(qs)))
-    if not q_far <= q_bound:  # a NaN position fails here too
-        raise ValueError(
-            f"outcome position {q_far} is beyond the grid's resolvable range "
-            f"|q| <= {q_bound:.1f}"
-        )
     b = INV_SQRT_2PI * np.sqrt(template.energies) * np.conj(_phase_table(template, T, qs))
     return replace(template, amplitudes=b), nw_amplitude_grid(template, qs, T)[()]
 

@@ -9,8 +9,6 @@ packets develop pockets of negative density.  The divergence
 d_t j^0 + d_x j^1 vanishes identically for solutions, which the
 finite-difference residual here probes without reusing the spectral
 derivatives.
-
-All functions are pure; grid scans are safe to parallelize.
 """
 
 from __future__ import annotations

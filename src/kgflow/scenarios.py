@@ -185,10 +185,10 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             f"box reach max|x| + max|t| = {reach:g} exceeds the grid's resolvable "
             f"range {bound:.1f}"
         )
-    if final is not None and max(abs(final.q_lo), abs(final.q_hi)) > bound:
+    if final is not None and max(abs(final.q_lo), abs(final.q_hi)) + abs(final.T) > bound:
         raise ScenarioError(
-            f"final outcome range [{final.q_lo:g}, {final.q_hi:g}] exceeds the grid's "
-            f"resolvable range {bound:.1f}"
+            f"final outcome range [{final.q_lo:g}, {final.q_hi:g}] at T = {final.T:g} "
+            f"exceeds the grid's resolvable range {bound:.1f}"
         )
 
     return Scenario(

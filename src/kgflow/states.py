@@ -16,7 +16,8 @@ time t times a coefficient matrix built from the amplitudes with the
 quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`).  The
 tracer builds exact tables only at its jet centres and reads the points
 between off Taylor jets of psi (trajectories._Jets); the public
-evaluators take positions, never a table.
+evaluators take positions, never a table.  A table, and so any
+evaluation, raises DomainError past the grid's resolvable range.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import gauss_panels
-from .errors import DegenerateStateError, GridMismatchError, TruncationError
+from .errors import DegenerateStateError, DomainError, GridMismatchError, TruncationError
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -126,6 +127,10 @@ class SpectralState:
             if not np.all(np.isfinite(arr.view(float))):
                 raise ValueError("state arrays must be finite")
             arr.setflags(write=False)
+
+    @cached_property
+    def _resolvable_range(self) -> float:
+        return _resolvable_range(self.momenta)
 
     @cached_property
     def _psi_dpsi_columns(self):
@@ -256,7 +261,20 @@ class Lattice(NamedTuple):
         return self.n
 
 
+def _require_resolvable(state: SpectralState, t, xs):
+    """DomainError unless |x| + |t| is within the state's resolvable range at every position."""
+    reach, bound = np.abs(xs) + np.abs(t), state._resolvable_range
+    if not np.all(reach <= bound):  # a NaN position fails here too
+        raise DomainError(f"|x| + |t| = {np.max(reach):g} is beyond resolvable range {bound:.1f}")
+
+
 def _phase_table(state: SpectralState, t, xs):
+    """_phase_table_core at positions xs, which must pass _require_resolvable."""
+    _require_resolvable(state, t, xs)
+    return _phase_table_core(state, t, xs)
+
+
+def _phase_table_core(state: SpectralState, t, xs):
     """The phase table exp(-i(p0 t - p x)), shape xs.shape + (K,); t broadcasts against xs.
 
     The real phase theta = x p - t p0, built in the table's imaginary part,
@@ -295,10 +313,13 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
         table = _phase_table(state, t, xs)
         return (table @ flat).reshape(table.shape[:-1] + matrix.shape[1:])
     coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
-    if np.ndim(t) or not 0 <= xs.n <= coarse.size * fine.size:
-        raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions")
-    table = _phase_table(state, t, coarse)
-    fine_table = _phase_table(state, 0.0, fine)
+    if np.ndim(t) or not 0 < xs.n <= coarse.size * fine.size:
+        raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions, n >= 1")
+    # both builders' positions increase: the first and the n-th bound |x|, the fine offsets not
+    row, col = divmod(xs.n - 1, fine.size)
+    _require_resolvable(state, t, np.array([coarse[0] + fine[0], coarse[row] + fine[col]]))
+    table = _phase_table_core(state, t, coarse)
+    fine_table = _phase_table_core(state, 0.0, fine)
     if flat.shape[1] >= fine.size:
         out = (table[:, None, :] * fine_table[None, :, :]).reshape(-1, k)[: xs.n] @ flat
     else:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kgflow import CausalClass, Event, build_ensemble, make_final_outcome
+from kgflow import CausalClass, Event, build_ensemble, load_scenario, make_final_outcome
 from kgflow.cli import _write_blocks, main
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
@@ -72,10 +72,9 @@ def test_density_single_packet_positive(tmp_path):
      ["trajectories.csv", "trajectories_summary.json"]),
 ], ids=["density", "trajectories"])
 def test_density_deterministic_across_threads(tmp_path, args, files):
-    # --threads is accepted and has no effect
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -118,6 +117,24 @@ def test_density_beyond_resolvable_range_is_domain_error(tmp_path, capsys):
         assert not (out / "density.csv").exists()
     rc = main(["density", "--scenario", "single_rest", "--out", str(out), "--t=-76"])
     assert rc == 0
+
+
+def test_kernel_beyond_resolvable_range_is_domain_error(tmp_path, capsys):
+    # single_boosted's box is x in [-8, 10] and its density lattice's last coarse row sits at
+    # 9.955: at this t only the points past that row reach beyond the bound
+    bound = load_scenario("single_boosted").grid.resolvable_range
+    out = tmp_path / "out"
+    rc = main(["density", "--scenario", "single_boosted", "--out", str(out),
+               f"--t={9.98 - bound!r}"])
+    assert rc == 3
+    assert "resolvable range" in capsys.readouterr().err
+    assert not (out / "density.csv").exists()
+    # an outcome q = 500 at T = 2 lies far past the bound of about 84
+    rc = main(["trajectories", "--scenario", "s1_conditional", "--out", str(out),
+               "--seed", "0,0,500"])
+    assert rc == 3
+    assert "resolvable range" in capsys.readouterr().err
+    assert not (out / "trajectories.csv").exists()
 
 
 def test_conditional_seed_step_past_measurement_time(tmp_path, capsys):
@@ -295,14 +312,6 @@ def test_unknown_field_exit_code(tmp_path):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["warp", "--scenario", "single_rest", "--out", "/tmp/x"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["density", "trajectories", "validate", "kernel"])
-def test_threads_below_one_rejected(tmp_path, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--scenario", "s1_conditional", "--out", str(tmp_path / "o"),
-              "--threads", "0"])
     assert exc.value.code == 2
 
 

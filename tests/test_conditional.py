@@ -4,6 +4,7 @@ import pytest
 from kgflow import (
     CausalOrderError,
     CoverageError,
+    DomainError,
     Event,
     FinalOutcome,
     GridSpec,
@@ -88,7 +89,7 @@ def test_distant_outcomes_nearly_orthogonal():
 
 def test_outcome_beyond_grid_resolution_rejected(s1_state):
     for q in (500.0, np.nan, [0.0, np.nan]):
-        with pytest.raises(ValueError, match="outcome position .* resolvable range"):
+        with pytest.raises(DomainError, match="resolvable range"):
             make_final_outcome(q, 2.0, s1_state)
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from kgflow import Box, GridSpec, ScenarioError, TruncationError, load_scenario
+from kgflow import (
+    Box, GridSpec, ScenarioError, TruncationError, load_scenario, make_final_outcome,
+)
 from kgflow._quad import gauss_panels
 from kgflow.scenarios import (
     BUNDLED_NAMES,
@@ -112,11 +114,15 @@ def test_reach_beyond_resolvable_range_rejected():
             scenario_from_dict(clone(box=box))
         box = dict(box, t_lo=-1.0, t_hi=1.0)
         assert scenario_from_dict(clone(box=box)).box == Box(**box)
-    for q_lo, q_hi in ((-1.0, bound + 0.5), (-bound - 0.5, 1.0)):
+    # the ensemble evaluates every q at T = 2, so max|q| + |T| must stay within the bound
+    for q_lo, q_hi in ((-1.0, bound - 1.5), (1.5 - bound, 1.0)):
         with pytest.raises(ScenarioError, match="resolvable range"):
             scenario_from_dict(clone(final={"T": 2.0, "q_lo": q_lo, "q_hi": q_hi, "n_q": 9}))
-    final = {"T": 2.0, "q_lo": -bound, "q_hi": bound, "n_q": 9}
-    assert scenario_from_dict(clone(final=final)).final.q_hi == bound
+    final = {"T": 2.0, "q_lo": 2.0 - bound, "q_hi": bound - 2.0, "n_q": 9}
+    sc = scenario_from_dict(clone(final=final))
+    assert sc.final.q_hi == bound - 2.0
+    # the kernel accepts the loader's edge outcomes
+    make_final_outcome([sc.final.q_lo, sc.final.q_hi], sc.final.T, build_state(sc))
     # the bundled scenarios reach 11 to 19 on grids that resolve about 84 and 87
     for name in BUNDLED_NAMES:
         expected = 83.9 if name.startswith("s1_") else 86.7

@@ -3,6 +3,7 @@ import pytest
 
 from kgflow import (
     DegenerateStateError,
+    DomainError,
     Event,
     GridMismatchError,
     GridSpec,
@@ -16,6 +17,8 @@ from kgflow import (
     superpose,
 )
 from kgflow._quad import gauss_panels
+from kgflow.current import current_grid
+from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import (
     Lattice,
     _phase_table,
@@ -140,6 +143,30 @@ def test_phase_table_is_cos_and_sin_of_the_real_phase(s1_state):
     assert _phase_table(s1_state, 0.0, 2.0).shape == s1_state.momenta.shape
 
 
+def test_evaluators_raise_beyond_resolvable_range(bundled_states):
+    # single_rest resolves |x| + |t| <= 86.7; at x = 150 the sum returned aliasing
+    # noise of about 1e-4 of the peak j0
+    state = bundled_states["single_rest"]
+    evaluators = (psi_grid, current_grid, lambda s, t, xs: nw_density_grid(s, xs, t))
+    for evaluate in evaluators:
+        for xs in (np.array([0.0, 150.0]), uniform_lattice(0.0, 150.0, 5)):
+            with pytest.raises(DomainError, match="resolvable range 86.7"):
+                evaluate(state, 0.0, xs)
+        with pytest.raises(DomainError, match="resolvable range 86.7"):
+            evaluate(state, 80.0, 10.0)
+
+
+def test_lattice_range_check_reads_positions_not_offsets(bundled_states):
+    # the fine offsets (0, 100) span more than the bound of 86.7, yet both positions,
+    # -50 and 50, lie inside it
+    state = bundled_states["single_rest"]
+    lattice = current_grid(state, 0.0, uniform_lattice(-50.0, 50.0, 2))
+    direct = current_grid(state, 0.0, np.array([-50.0, 50.0]))
+    peak = current_grid(state, 0.0, 0.0)[0]
+    for got, ref in zip(lattice, direct):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15 * peak)
+
+
 def test_psi_real_positive_at_origin(rest_packet):
     val = evaluate_psi(rest_packet, Event(0.0, 0.0))
     assert val.real > 0
@@ -260,8 +287,9 @@ def test_lattice_kernel_gauss_panels(s1_state):
     assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
     with pytest.raises(ValueError, match="scalar t"):
         _plane_wave_sum(s1_state, np.array([0.0, 1.0]), grid, coeffs)
-    with pytest.raises(ValueError, match="at most"):
-        _plane_wave_sum(s1_state, 1.5, Lattice(mid, offsets, n + 1), coeffs)
+    for size in (n + 1, 0):  # an empty lattice has no n-th position to range-check
+        with pytest.raises(ValueError, match="at most"):
+            _plane_wave_sum(s1_state, 1.5, Lattice(mid, offsets, size), coeffs)
     with pytest.raises(ValueError, match="at least 2"):
         uniform_lattice(0.0, 1.0, 1)
     # a plain tuple is still a sequence of positions

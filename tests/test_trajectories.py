@@ -7,6 +7,7 @@ from kgflow import (
     Box,
     CausalClass,
     CausalOrderError,
+    DomainError,
     Event,
     FourVector,
     GridMismatchError,
@@ -522,3 +523,14 @@ def test_conditional_field_rejects_an_outcome_on_another_grid(bundled_states):
     assert other.momenta.shape == state.momenta.shape
     with pytest.raises(GridMismatchError):
         conditional_field(state, make_final_outcome([1.0, -2.0], 2.0, other))
+
+
+def test_tracer_raises_beyond_resolvable_range(s1_state):
+    # a wide box lets a seed past the grid's bound of about 84 in; the jet centre's
+    # phase table raises before the tracer reads noise
+    box = Box(-1.0, 1.0, -200.0, 200.0)
+    with pytest.raises(DomainError, match="resolvable range"):
+        trace_many(standard_field(s1_state), [Event(0.0, 1.0), Event(0.0, 150.0)], 0.02, 10, box)
+    field = conditional_field(s1_state, make_final_outcome(1.0, 2.0, s1_state))
+    with pytest.raises(DomainError, match="resolvable range"):
+        field(Event(0.0, 150.0))
