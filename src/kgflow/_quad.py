@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature helpers."""
+"""Quadrature helpers: composite Gauss-Legendre panels and the trapezoid rule."""
 
 from __future__ import annotations
 
@@ -40,3 +40,10 @@ def gauss_panels_edges(edges, nodes_per_panel: int):
     x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     w = (half[:, None] * base_w[None, :]).ravel()
     return x, w
+
+
+def trapezoid_weights(n: int, h: float):
+    """Weights of the n-point trapezoid rule at spacing h: h inside, h / 2 at both ends."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._quad import trapezoid_weights
 from .current import current_grid
 from .errors import CausalOrderError, CoverageError, ZeroProbabilityOutcomeError
 from .newton_wigner import nw_amplitude_grid, nw_density_grid
@@ -209,31 +210,24 @@ def weighted_integrand(initial: SpectralState, f: FinalOutcome, e: Event) -> Fou
 
 
 def make_outcome_ensemble(
-    initial: SpectralState,
-    T: float,
-    q_lo: float,
-    q_hi: float,
-    n_q: int,
-    coverage_tol: float = COVERAGE_TOL,
+    initial: SpectralState, T: float, q_lo: float, q_hi: float, n_q: int
 ) -> OutcomeEnsemble:
     """Uniform outcome grid over [q_lo, q_hi] with trapezoid weights.
 
     Validates that the grid captures the outcome distribution: the
-    weighted Born probabilities must sum to 1 within coverage_tol.
+    weighted Born probabilities must sum to 1 within COVERAGE_TOL.
     """
     if n_q < 2:
         raise ValueError("need at least two outcomes")
     if not q_lo < q_hi:
         raise ValueError("q_lo must be below q_hi")
     qs = np.linspace(q_lo, q_hi, n_q)
-    dq = qs[1] - qs[0]
-    weights = np.full(n_q, dq)
-    weights[0] = weights[-1] = 0.5 * dq
+    weights = trapezoid_weights(n_q, qs[1] - qs[0])
     backward, overlaps = _outcome_states(initial, qs, T)
     total = float(np.dot(weights, np.abs(overlaps) ** 2))
-    if abs(total - 1.0) > coverage_tol:
+    if abs(total - 1.0) > COVERAGE_TOL:
         raise CoverageError(
-            f"ensemble captures probability {total:.6f}, outside 1 +/- {coverage_tol}"
+            f"ensemble captures probability {total:.6f}, outside 1 +/- {COVERAGE_TOL}"
         )
     return OutcomeEnsemble(qs, float(T), backward, overlaps, weights)
 

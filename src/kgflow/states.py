@@ -315,7 +315,7 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
     coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
     if np.ndim(t) or not 0 < xs.n <= coarse.size * fine.size:
         raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions, n >= 1")
-    # both builders' positions increase: the first and the n-th bound |x|, the fine offsets not
+    # uniform_lattice's positions increase, so the first and the n-th bound |x|
     row, col = divmod(xs.n - 1, fine.size)
     _require_resolvable(state, t, np.array([coarse[0] + fine[0], coarse[row] + fine[col]]))
     table = _phase_table_core(state, t, coarse)

@@ -8,7 +8,8 @@ its independent Bessel representation, and unit total Newton-Wigner
 probability.  The divergence checks use Richardson-extrapolated central
 differences: the residual at step h and h/2 confirms second-order
 scaling of the raw estimator, and the extrapolated value estimates the
-true divergence with the leading h^2 truncation term removed.
+true divergence with the leading h^2 truncation term removed.  The two
+unit integrals take the trapezoid rule at a spacing the momentum grid sets.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from time import perf_counter
 
 import numpy as np
 
-from ._quad import _legendre_rule
+from ._quad import trapezoid_weights
 from .conditional import conditional_current_grid, decompose_check, weighted_density_grid
 from .current import central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, truncation_defect
-from .states import Event, Lattice
+from .states import Event, uniform_lattice
 
 TOLERANCES = {
     "momentum_truncation": 1e-8,
@@ -76,6 +77,12 @@ def _event_grid(t_vals, x_vals):
     return [Event(float(t), float(x)) for t in t_vals for x in x_vals]
 
 
+def _centred(lo: float, hi: float, fraction: float, n: int):
+    """n points spanning the centre of [lo, hi] plus and minus fraction of its half-width."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return np.linspace(mid - fraction * half, mid + fraction * half, n)
+
+
 def run_validation(scenario: Scenario) -> dict:
     """Run every check for a scenario with a final block.
 
@@ -97,8 +104,7 @@ def run_validation(scenario: Scenario) -> dict:
     length = box.x_hi - box.x_lo
 
     std_events = _event_grid(
-        np.linspace(0.25 * box.t_lo, 0.25 * box.t_hi, 5),
-        np.linspace(0.4 * box.x_lo, 0.4 * box.x_hi, 5),
+        _centred(box.t_lo, box.t_hi, 0.25, 5), _centred(box.x_lo, box.x_hi, 0.4, 5)
     )
     start = perf_counter()
     rel, order = _continuity_scan(lambda t, x: current_grid(state, t, x), std_events, length)
@@ -110,7 +116,7 @@ def run_validation(scenario: Scenario) -> dict:
     T = ensemble.T
 
     cond_events = _event_grid(
-        np.array([0.2, 0.5, 0.8]) * T, np.linspace(0.3 * box.x_lo, 0.3 * box.x_hi, 3)
+        np.array([0.2, 0.5, 0.8]) * T, _centred(box.x_lo, box.x_hi, 0.3, 3)
     )
     start = perf_counter()
     worst_cond, _ = _continuity_scan(
@@ -129,7 +135,7 @@ def run_validation(scenario: Scenario) -> dict:
     )
 
     dec_events = _event_grid(
-        np.array([0.0, 0.25, 0.5]) * T, np.linspace(0.2 * box.x_lo, 0.2 * box.x_hi, 3)
+        np.array([0.0, 0.25, 0.5]) * T, _centred(box.x_lo, box.x_hi, 0.2, 3)
     )
     start = perf_counter()
     dec = decompose_check(state, ensemble, dec_events)
@@ -168,13 +174,13 @@ def _entry(value: float, name: str, start: float, **extras) -> dict:
     return entry
 
 
-def _support_bounds(scenario: Scenario, t_max: float, margin: float):
-    """x-range holding every packet's mass up to |t| <= t_max.
+def _support_bounds(scenario: Scenario, t_max: float, margin: float, points):
+    """x-range holding every packet's mass up to |t| <= t_max, and the given points.
 
     Covers the drifted centers plus seven spatial sigmas per packet;
     margin adds the Compton-scale tail allowance on top.
     """
-    los, his = [], []
+    los, his = list(points), list(points)
     for pk in scenario.packets:
         v = pk.p_center / np.hypot(pk.p_center, scenario.mass)
         reach = abs(v) * t_max + 7.0 / (2.0 * pk.p_width)
@@ -183,44 +189,35 @@ def _support_bounds(scenario: Scenario, t_max: float, margin: float):
     return min(los) - margin, max(his) + margin
 
 
+def _window(state, lo: float, hi: float, t_max: float):
+    """Trapezoid nodes (a Lattice) and weights on [lo, hi], clipped to |x| + t_max in range.
+
+    Products of two fields on the momentum grid are band-limited to p_K - p_1, so
+    the trapezoid rule at a spacing below 2 pi / (p_K - p_1) is exact up to the
+    window's truncation; this spacing is at most half that.  The clip leaves a
+    relative 1e-12 of headroom, since the lattice's last point may round past hi.
+    """
+    reach = (state._resolvable_range - t_max) * (1.0 - 1e-12)
+    lo, hi = max(lo, -reach), min(hi, reach)
+    n = int(np.ceil((hi - lo) * (state.momenta[-1] - state.momenta[0]) / np.pi)) + 1
+    return uniform_lattice(lo, hi, n), trapezoid_weights(n, (hi - lo) / (n - 1))
+
+
 def conditional_normalization_defect(scenario, state, outcome, times) -> float:
     """Worst |integral of conditional density - 1| over a stacked outcome's rows and times."""
-    t_max = max(float(np.max(times)), outcome.T)
-    margin = 16.0 / scenario.mass
-    lo, hi = _support_bounds(scenario, t_max, margin=margin)
-    lo = min(lo, float(outcome.q_value.min()) - margin)
-    hi = max(hi, float(outcome.q_value.max()) + margin)
-    panels = max(96, int(np.ceil((hi - lo) / 0.5)))
-    xs, w = _gauss_lattice(lo, hi, panels, 16)
+    # times after T raise CausalOrderError, so the packets drift for at most T
+    lo, hi = _support_bounds(scenario, outcome.T, 16.0 / scenario.mass, outcome.q_value)
+    xs, w = _window(state, lo, hi, float(np.max(np.abs(times))))
     a2 = np.abs(outcome.amplitude_fi) ** 2
-    worst = 0.0
-    for t in times:
-        totals = (w @ weighted_density_grid(state, outcome, float(t), xs)) / a2
-        worst = max(worst, float(np.max(np.abs(totals - 1.0))))
-    return worst
-
-
-def _gauss_lattice(lo: float, hi: float, panels: int, nodes_per_panel: int):
-    """gauss_panels(lo, hi, panels, nodes_per_panel) as (Lattice, w).
-
-    Equal panels share one half-width h, so the nodes are the panel
-    midpoints plus the common offsets h x_i, the kernel's Lattice form;
-    nodes and weights match gauss_panels' to a few ulps.
-    """
-    base_x, base_w = _legendre_rule(nodes_per_panel)
-    half = 0.5 * (hi - lo) / panels
-    mid = lo + half * np.arange(1, 2 * panels, 2)
-    return Lattice(mid, half * base_x, panels * nodes_per_panel), np.tile(half * base_w, panels)
+    return max(
+        float(np.max(np.abs(w @ weighted_density_grid(state, outcome, float(t), xs) / a2 - 1.0)))
+        for t in times
+    )
 
 
 def nw_parseval_defect(scenario, state, times) -> float:
     """Worst |integral of Newton-Wigner density - 1| over the given times."""
     t_max = max(abs(float(t)) for t in times)
-    lo, hi = _support_bounds(scenario, t_max, margin=14.0 / scenario.mass)
-    panels = max(128, int(np.ceil((hi - lo) / 0.4)))
-    qs, w = _gauss_lattice(lo, hi, panels, 16)
-    worst = 0.0
-    for t in times:
-        total = float(np.dot(w, nw_density_grid(state, qs, float(t))))
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    lo, hi = _support_bounds(scenario, t_max, 14.0 / scenario.mass, ())
+    qs, w = _window(state, lo, hi, t_max)
+    return max(abs(float(np.dot(w, nw_density_grid(state, qs, float(t)))) - 1.0) for t in times)

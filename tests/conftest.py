@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from kgflow import GridSpec, load_scenario, make_gaussian_packet, superpose
+from kgflow._quad import _legendre_rule
 from kgflow.scenarios import build_state
+from kgflow.states import Lattice
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +52,20 @@ def bundled_states(s1_scenario, s1_conditional_scenario, rest_scenario, boosted_
         sc.name: build_state(sc)
         for sc in (s1_scenario, s1_conditional_scenario, rest_scenario, boosted_scenario)
     }
+
+
+def gauss_lattice(lo, hi, panels, nodes_per_panel):
+    """gauss_panels(lo, hi, panels, nodes_per_panel) as (Lattice, w).
+
+    Equal panels share one half-width h, so the nodes are the panel
+    midpoints plus the common offsets h x_i, the kernel's Lattice form
+    with non-uniform fine offsets; nodes and weights match gauss_panels'
+    to a few ulps.
+    """
+    base_x, base_w = _legendre_rule(nodes_per_panel)
+    half = 0.5 * (hi - lo) / panels
+    mid = lo + half * np.arange(1, 2 * panels, 2)
+    return Lattice(mid, half * base_x, panels * nodes_per_panel), np.tile(half * base_w, panels)
 
 
 def two_plane_wave_extrema(amp1, e1, p1, amp2, e2, p2):

@@ -35,6 +35,19 @@ HEAVY_REST = {
     "final": {"T": 2.0, "q_lo": -13.0, "q_hi": 13.0, "n_q": 41},
 }
 
+# a rest packet far off the origin: its integration windows reach past the
+# grid's resolvable range unless clipped, and checks placed about x = 0 miss it
+OFF_CENTRE = {
+    "name": "off_centre",
+    "mass": 1.0,
+    "packets": [
+        {"p_center": 0.0, "p_width": 0.25, "x_center": 60.0, "coeff_re": 1.0, "coeff_im": 0.0}
+    ],
+    "grid": {"p_min": -3.0, "p_max": 3.0, "panels": 8, "nodes_per_panel": 32},
+    "box": {"t_lo": -1.0, "t_hi": 1.0, "x_lo": 50.0, "x_hi": 70.0},
+    "final": {"T": 2.0, "q_lo": 45.0, "q_hi": 75.0, "n_q": 41},
+}
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -165,11 +178,14 @@ def test_trajectories_bad_seed_syntax(tmp_path, capsys):
         assert f"seed {seed!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["s1_conditional", "heavy_rest"])
+@pytest.mark.parametrize("scenario", ["s1_conditional", "heavy_rest", "off_centre"])
 def test_validate_bundled_scenario_passes(tmp_path, scenario):
-    if scenario == "heavy_rest":  # mass 5: the current's normalization and kernel range
-        scenario = tmp_path / "heavy_rest.json"
-        scenario.write_text(json.dumps(HEAVY_REST))
+    # heavy_rest, mass 5: the current's normalization and kernel range
+    written = {"heavy_rest": HEAVY_REST, "off_centre": OFF_CENTRE}
+    if scenario in written:
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(written[scenario]))
+        scenario = path
     out = tmp_path / "out"
     rc = main(["validate", "--scenario", str(scenario), "--out", str(out)])
     assert rc == 0

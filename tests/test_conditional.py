@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ from kgflow.newton_wigner import nw_amplitude_grid, nw_density_grid
 from kgflow.scenarios import build_ensemble, build_state
 from kgflow.states import psi_grid
 from kgflow._quad import gauss_panels
-from kgflow.validation import _gauss_lattice
+
+from conftest import gauss_lattice
 
 EVENTS = [Event(t, x) for t in (0.0, 0.5, 1.0) for x in (-2.0, 0.0, 2.0)]
 
@@ -207,15 +210,11 @@ def test_outcome_distribution_symmetric_for_rest_packet():
     assert np.max(np.abs(rho - rho[::-1])) < 1e-8
 
 
-def test_ensemble_coverage_guard(s1_state):
+def test_ensemble_coverage_guard(s1_state, s1_ensemble):
     with pytest.raises(CoverageError):
         make_outcome_ensemble(s1_state, 2.0, -4.0, 4.0, 41)
     with pytest.raises(CoverageError):
-        decompose_check(
-            s1_state,
-            make_outcome_ensemble(s1_state, 2.0, -4.0, 4.0, 41, coverage_tol=1.0),
-            EVENTS,
-        )
+        decompose_check(s1_state, replace(s1_ensemble, weights=0.5 * s1_ensemble.weights), EVENTS)
 
 
 def test_retrocausal_dependence(s1_state):
@@ -279,10 +278,10 @@ def test_conditional_rejects_mismatched_grids(s1_state, rest_packet):
 
 
 def test_weighted_integrand_on_lattice_matches_array_path(s1_conditional_scenario):
-    # the normalization check's nodes: 126 columns against 16 offsets, the product table
+    # 126 columns against 16 Gauss offsets, the product table
     state = build_state(s1_conditional_scenario)
     ens = build_ensemble(s1_conditional_scenario, state)
-    grid, _ = _gauss_lattice(-24.0, 26.0, 100, 16)
+    grid, _ = gauss_lattice(-24.0, 26.0, 100, 16)
     xs = (grid.coarse[:, None] + grid.fine[None, :]).ravel()
     for t in (0.4, 1.6):
         w0, w1 = weighted_integrand_grid(state, ens, t, grid)

@@ -27,7 +27,8 @@ from kgflow.states import (
     psi_grid,
     uniform_lattice,
 )
-from kgflow.validation import _gauss_lattice
+
+from conftest import gauss_lattice
 
 
 def test_packet_unit_norm(rest_packet):
@@ -273,7 +274,7 @@ def test_lattice_kernel_matches_array_path(s1_state, n, m):
 
 
 def test_lattice_kernel_gauss_panels(s1_state):
-    grid, w = _gauss_lattice(-30.0, 34.0, 160, 16)
+    grid, w = gauss_lattice(-30.0, 34.0, 160, 16)
     xs, w_ref = gauss_panels(-30.0, 34.0, 160, 16)
     # one common half-width against half-widths of rounded linspace edges
     np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0)
@@ -301,7 +302,7 @@ def test_lattice_kernel_gauss_panels(s1_state):
 def test_lattice_product_table_matches_array_path(s1_state, n, m):
     # 16 fine offsets never exceed m, so every case takes the product table;
     # n = 2640 fills 165 panels exactly, 97 and 2 leave 15 and 14 surplus points
-    grid = _gauss_lattice(-30.0, 34.0, -(-n // 16), 16)[0]._replace(n=n)
+    grid = gauss_lattice(-30.0, 34.0, -(-n // 16), 16)[0]._replace(n=n)
     coarse, fine, _ = grid
     assert fine.size <= m and coarse.size * fine.size - n == {2: 14, 97: 15, 2640: 0}[n]
     xs = (coarse[:, None] + fine[None, :]).ravel()[:n]

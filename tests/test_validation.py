@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 import kgflow
-from kgflow.conditional import outcome_probabilities, weighted_integrand_grid
+from kgflow import load_scenario, validation
+from kgflow._quad import gauss_panels, trapezoid_weights
+from kgflow.conditional import outcome_probabilities, weighted_density_grid, weighted_integrand_grid
 from kgflow.current import current_grid
+from kgflow.newton_wigner import nw_density_grid
 from kgflow.scenarios import build_ensemble, build_state
+from kgflow.states import uniform_lattice
 from kgflow.validation import (
     OUTCOME_RHO_FLOOR,
     _continuity_scan,
     _event_grid,
     _median,
+    conditional_normalization_defect,
+    nw_parseval_defect,
     richardson_divergence,
 )
 
@@ -98,3 +104,66 @@ def test_validate_does_not_import_numpy_ma(tmp_path):
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def _spy_windows(monkeypatch):
+    # records each (Lattice, weights) window the defect functions integrate over
+    windows, real = [], validation._window
+
+    def spy(*args):
+        windows.append(real(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(validation, "_window", spy)
+    return windows
+
+
+def _span(grid):
+    # first and last position of a uniform_lattice
+    return grid.coarse[0], grid.coarse[0] + (grid.n - 1) * (grid.fine[1] - grid.fine[0])
+
+
+def _checked_outcomes(scenario):
+    # the state, kept outcomes and normalization times that run_validation uses
+    state = build_state(scenario)
+    ens = build_ensemble(scenario, state)
+    rho = np.abs(ens.amplitude_fi) ** 2
+    kept = ens.rows(np.nonzero(rho >= OUTCOME_RHO_FLOOR * rho.max())[0])
+    return state, kept, np.array([0.2, 0.5, 0.8]) * ens.T
+
+
+@pytest.mark.parametrize("name", ["s1_conditional", "single_rest", "single_boosted"])
+def test_window_defects_match_gauss_panels(monkeypatch, name):
+    scenario = load_scenario(name)
+    state, kept, times = _checked_outcomes(scenario)
+    nw_times = (0.0, 0.5 * kept.T)
+    windows = _spy_windows(monkeypatch)
+    norm = conditional_normalization_defect(scenario, state, kept, times)
+    parseval = nw_parseval_defect(scenario, state, nw_times)
+    (norm_grid, _), (nw_grid, _) = windows
+    # the reference: 16 Gauss nodes per panel at most 0.4 wide over the same windows
+    lo, hi = _span(norm_grid)
+    xs, w = gauss_panels(lo, hi, int(np.ceil((hi - lo) / 0.4)), 16)
+    a2 = np.abs(kept.amplitude_fi) ** 2
+    ref_norm = max(
+        np.max(np.abs(w @ weighted_density_grid(state, kept, t, xs) / a2 - 1.0)) for t in times
+    )
+    lo, hi = _span(nw_grid)
+    qs, w = gauss_panels(lo, hi, int(np.ceil((hi - lo) / 0.4)), 16)
+    ref_parseval = max(abs(w @ nw_density_grid(state, qs, t) - 1.0) for t in nw_times)
+    assert abs(norm - ref_norm) <= 1e-12 and abs(parseval - ref_parseval) <= 1e-12
+
+
+def test_window_spacing_resolves_the_band_limit(monkeypatch, s1_conditional_scenario):
+    state, kept, times = _checked_outcomes(s1_conditional_scenario)
+    band = 2.0 * np.pi / (state.momenta[-1] - state.momenta[0])
+    windows = _spy_windows(monkeypatch)
+    within = conditional_normalization_defect(s1_conditional_scenario, state, kept, times)
+    (grid, _), = windows
+    assert grid.fine[1] - grid.fine[0] <= 0.5 * band and within < 1e-10
+    # the same window at 1.5 times the band limit aliases
+    lo, hi = _span(grid)
+    n = int(np.ceil((hi - lo) / (1.5 * band))) + 1
+    coarse = uniform_lattice(lo, hi, n), trapezoid_weights(n, (hi - lo) / (n - 1))
+    monkeypatch.setattr(validation, "_window", lambda *args: coarse)
+    assert conditional_normalization_defect(s1_conditional_scenario, state, kept, times) > 1e-3
