@@ -7,38 +7,75 @@ from functools import lru_cache
 import numpy as np
 
 
+def _legval(x, c):
+    """Clenshaw sum of the Legendre series c (low degree first, at least 2 terms) at x."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _legendre_rule(nodes: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per size.
+
+    numpy's leggauss algorithm, ported so numpy.polynomial is never
+    imported: the roots of L_n are the eigenvalues of its symmetric
+    companion matrix, refined by one Newton step; the weights are
+    proportional to 1 / (L_n'(x) L_{n-1}(x)).  Both are then symmetrized
+    and the weights scaled to sum to 2.  The results are bitwise those
+    of leggauss.
+    """
+    if nodes < 2:
+        raise ValueError("need at least 2 nodes")
+    k = np.arange(nodes)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    companion = np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(companion)
+    c = np.zeros(nodes + 1)  # L_n
+    c[-1] = 1.0
+    # L_n' = sum of (2k + 1) L_k over k = n - 1, n - 3, ...
+    dc = np.where((nodes - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0)
+    df = _legval(x, dc)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])  # L_{n-1}
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def gauss_panels(lo: float, hi: float, panels: int, nodes_per_panel: int):
+def gauss_panels(lo, hi, panels: int, nodes_per_panel: int):
     """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi].
 
-    Returns (x, w) with x strictly increasing and all w > 0.
+    Returns (x, w) with x strictly increasing and all w > 0.  Array
+    endpoints give one rule per interval, along the last axis.
     """
-    if not hi > lo:
+    if not np.all(hi > lo):
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if panels < 1 or nodes_per_panel < 2:
         raise ValueError("need at least 1 panel and 2 nodes per panel")
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
     return gauss_panels_edges(edges, nodes_per_panel)
 
 
 def gauss_panels_edges(edges, nodes_per_panel: int):
-    """Composite Gauss-Legendre rule with explicit panel edges."""
+    """Composite Gauss-Legendre rule with explicit panel edges along the last axis."""
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim < 1 or edges.shape[-1] < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("panel edges must be strictly increasing")
     base_x, base_w = _legendre_rule(nodes_per_panel)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    x = (mid[..., None] + half[..., None] * base_x).reshape(shape)
+    w = (half[..., None] * base_w).reshape(shape)
     return x, w
 
 

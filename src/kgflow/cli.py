@@ -207,14 +207,12 @@ def _run_kernel(args, scenario: Scenario, out: Path) -> int:
         raise ValueError("--n must be at least 1")
     mode = KernelMode(tag=args.mode, cutoff=args.cutoff)
     deltas = np.linspace(args.delta_lo, args.delta_hi, args.n)
-    rows = []
-    for d in deltas:
-        k = position_kernel(scenario.mass, float(d), mode)
-        if args.mode == "relativistic":
-            oracle = bessel_k0(scenario.mass * float(d)) / np.pi
-            rows.append((d, k, oracle, abs(k - oracle) / abs(oracle)))
-        else:
-            rows.append((d, k, "", ""))
+    kernel = [position_kernel(scenario.mass, d, mode) for d in deltas.tolist()]
+    if args.mode == "relativistic":
+        oracles = (bessel_k0(scenario.mass * deltas) / np.pi).tolist()
+        rows = [(d, k, o, abs(k - o) / abs(o)) for d, k, o in zip(deltas, kernel, oracles)]
+    else:
+        rows = [(d, k, "", "") for d, k in zip(deltas, kernel)]
     _write_blocks(out / "kernel.csv", ["delta", "kernel", "oracle", "rel_err"], [((), rows)])
     return 0
 

@@ -180,13 +180,19 @@ def position_kernel(mass: float, delta: float, mode: KernelMode) -> float:
     return _kernel_dirichlet(mode.cutoff, delta)
 
 
-def bessel_k0(z: float) -> float:
-    """Modified Bessel function K0 via int_0^inf exp(-z cosh u) du."""
-    if not 0 < z < np.inf:
-        raise ValueError(f"argument must be positive and finite, got {z}")
-    u_max = float(np.arccosh(max(750.0 / z, 2.0)))
+def bessel_k0(z):
+    """Modified Bessel function K0 via int_0^inf exp(-z cosh u) du.
+
+    Elementwise over an array of arguments; a scalar gives a float.
+    """
+    z = np.asarray(z, dtype=float)
+    bad = z[~((0 < z) & (z < np.inf))]
+    if bad.size:
+        raise ValueError(f"argument must be positive and finite, got {bad[0]}")
+    u_max = np.arccosh(np.maximum(750.0 / z, 2.0))
     u, w = gauss_panels(0.0, u_max, 64, 16)
-    return float(np.sum(w * np.exp(-z * np.cosh(u))))
+    k0 = np.sum(w * np.exp(-z[..., None] * np.cosh(u)), axis=-1)
+    return float(k0) if k0.ndim == 0 else k0
 
 
 def nw_gram_check(q_grid, mass: float, grid: GridSpec, basis: str = "newton-wigner") -> float:

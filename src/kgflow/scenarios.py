@@ -148,7 +148,8 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         raise ScenarioError("grid.p_min must be below grid.p_max")
     if g["panels"] < 1 or g["nodes_per_panel"] < 2:
         raise ScenarioError("grid needs at least 1 panel and 2 nodes per panel")
-    # numpy tests leggauss only up to degree 100, and its memory grows as n^2
+    # the Gauss-Legendre rule is numpy's leggauss algorithm, ported; numpy tests it only
+    # up to degree 100, and its companion matrix grows as n^2
     if g["nodes_per_panel"] > 100:
         raise ScenarioError(f"{context}.grid.nodes_per_panel must be at most 100")
     grid = GridSpec(**g)

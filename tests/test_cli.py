@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgflow
 from kgflow import CausalClass, Event, build_ensemble, load_scenario, make_final_outcome
 from kgflow.cli import _write_blocks, main
 from kgflow.current import current_grid
@@ -451,3 +455,27 @@ def test_cli_reaches_the_public_evaluators(tmp_path, monkeypatch, s1_state):
     counted(kgflow.trajectories, "current_grid")
     standard_field(s1_state)(Event(0.5, 1.0))
     assert [name for name, _ in calls] == ["current_grid"]
+
+
+def test_subcommands_do_not_import_numpy_ma_or_polynomial(tmp_path):
+    # np.median imports numpy.ma and leggauss imports numpy.polynomial, each a few
+    # milliseconds on every run; the package uses neither
+    src = Path(kgflow.__file__).resolve().parent.parent
+    runs = [
+        ["validate", "--scenario", "s1_conditional"],
+        ["density", "--scenario", "s1_negative_density", "--n-x", "101"],
+        ["trajectories", "--scenario", "s1_conditional", "--max-steps", "20",
+         "--seed=0.1,0.5", "--seed=-0.2,1.0,0.5"],
+        ["kernel", "--scenario", "single_rest", "--n", "5"],
+    ]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from kgflow.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "for name in ('numpy.ma', 'numpy.polynomial'):\n"
+        "    assert name not in sys.modules, f'kg-flow imported {name}'\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

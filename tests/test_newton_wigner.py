@@ -210,7 +210,27 @@ def test_nw_amplitude_scalar_matches_grid(rest_packet):
 def test_legendre_rule_cached_read_only():
     x, w = _legendre_rule(16)
     assert _legendre_rule(16)[0] is x
-    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    # the port reproduces numpy's rule up to the scenario loader's cap of 100 nodes
+    for n in (2, 3, 16, 32, 64, 100):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        x_n, w_n = _legendre_rule(n)
+        assert np.array_equal(x_n, ref_x) and np.array_equal(w_n, ref_w)
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+@pytest.mark.parametrize("zs", [np.linspace(0.1, 5.0, 25), np.array([1e-3, 30.0, 700.0])])
+def test_bessel_array_matches_scalar_calls(zs):
+    values = bessel_k0(zs)
+    assert values.shape == zs.shape
+    assert values.tobytes() == np.array([bessel_k0(float(z)) for z in zs]).tobytes()
+
+
+def test_bessel_scalar_returns_float():
+    assert type(bessel_k0(1.0)) is float and type(bessel_k0(np.float64(2.0))) is float
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_bessel_array_rejects_one_bad_entry(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        bessel_k0(np.array([0.5, bad, 2.0]))
