@@ -207,7 +207,7 @@ def _run_kernel(args, scenario: Scenario, out: Path) -> int:
         raise ValueError("--n must be at least 1")
     mode = KernelMode(tag=args.mode, cutoff=args.cutoff)
     deltas = np.linspace(args.delta_lo, args.delta_hi, args.n)
-    kernel = [position_kernel(scenario.mass, d, mode) for d in deltas.tolist()]
+    kernel = position_kernel(scenario.mass, deltas, mode).tolist()
     if args.mode == "relativistic":
         oracles = (bessel_k0(scenario.mass * deltas) / np.pi).tolist()
         rows = [(d, k, o, abs(k - o) / abs(o)) for d, k, o in zip(deltas, kernel, oracles)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _legendre_rule, gauss_panels, gauss_panels_edges
+from ._quad import _alternating_weights, _legendre_rule, gauss_panels, panel_rule
 from .errors import DomainError
 from .states import GridSpec, SpectralState, _kernel_matrix, _plane_wave_sum
 
@@ -71,113 +71,96 @@ def nw_density_grid(state: SpectralState, qs, t: float):
     return np.abs(nw_amplitude_grid(state, qs, t)) ** 2
 
 
-# The head below is an alternating sum of half-period pieces smaller than
-# 1/2, so it has an absolute rounding floor of about 1e-16, while the
-# kernel K0(m|delta|)/pi falls like exp(-m|delta|) and depends on m|delta| alone.
-# Against scipy.special.k0 the relative error is at most 5e-14 for
-# m|delta| <= 5, 1.6e-11 up to 10 and 4.7e-7 up to 20; it is 5.3e-5 at 25 and
-# 5.0e-3 at 30, and at 40 the sign is wrong: past this bound the quadrature no
-# longer resolves the kernel to the digits the checks ask of it.
+# The kernel adds pieces of up to about 1/2, so its absolute rounding floor is
+# about 1e-16, while K0(m|delta|)/pi falls like exp(-m|delta|).  Against
+# scipy.special.k0 (masses 0.5 to 5) the relative error is at most 6e-14 for
+# m|delta| <= 5, 2e-12 up to 10 and 4e-8 up to 20; it is 1.1e-6 at 25, 1.1e-4 at
+# 30, and at 40 the kernel is 4.6 times too large; past 20 it raises.
 MAX_MASS_SEPARATION = 20.0
 
+# The sum itself resolves |delta| down to about 1e-153, where p^2 overflows at the
+# geometric run's last nodes; 1e-81 is where the integration-by-parts tail of
+# earlier versions overflowed, kept so that the kernel's domain stays as documented.
+MIN_SEPARATION = 1e-81
 
-def _kernel_relativistic(mass: float, delta: float) -> float:
-    """(1/2pi) int exp(i p delta)/p0 dp over the real line.
+# the smallest n with 2 (3 + sqrt 8)^-n < 1e-17
+_PHASE_PANELS = int(np.ceil(np.log(2e17) / np.log(3.0 + np.sqrt(8.0))))
 
-    Even in delta, so computed as the half-line cosine transform, with
-    a 16-node Gauss-Legendre rule on every panel.  Near p = 0, where
-    1/p0 curves, the panels grow geometrically until they are half an
-    oscillation period wide.  From there the head is laid out in phase
-    theta = p delta as panels exactly pi wide, so every panel shares the
-    16 cosines of the first one up to the sign (-1)^j, and the head
-    becomes an alternating series of half-period pieces (Longman, Proc.
-    Camb. Phil. Soc. 52, 764, 1956).  Only the last partial panel up to P
-    takes cos at a large phase.  The slowly decaying tail beyond P is
-    summed by repeated integration by parts, whose fourth-order
-    remainder is negligible with P*delta >= 3000.  The head's rounding
-    floor bounds m|delta| by MAX_MASS_SEPARATION; beyond it the kernel
-    raises DomainError.
+# separations per call of _kernel_relativistic; they share its longest geometric
+# run, about 455 panels of 16 nodes at |delta| = 1e-80 and m = 1
+_KERNEL_BLOCK = 64
+
+
+def _kernel_relativistic(mass: float, d):
+    """(1/2pi) int exp(i p delta)/p0 dp over the real line, at separations d = |delta| > 0.
+
+    The half-line cosine transform, with 16 Gauss-Legendre nodes per
+    panel.  Near p = 0 the panels grow geometrically until they are half
+    an oscillation period wide; separation i takes the first K_i panels
+    of one run, whose edges depend on m alone.  After them, panels pi
+    wide in theta = p delta share the 16 cosines of the first up to the
+    sign (-1)^j, an alternating series (Longman, Proc. Camb. Phil. Soc.
+    52, 764, 1956) whose first _PHASE_PANELS terms, weighted as Cohen,
+    Rodriguez Villegas and Zagier (Experimental Math. 9, 3, 2000), sum
+    it whole: no tail is left.  Each value depends on its own separation.
     """
-    d = abs(delta)
-    if d == 0:
-        raise DomainError("equal-time kernel diverges logarithmically at zero separation")
-    if mass * d > MAX_MASS_SEPARATION:
-        raise DomainError(
-            f"separation {delta:g} at mass {mass:g} puts m|delta| = {mass * d:g} beyond "
-            f"{MAX_MASS_SEPARATION:g}, where the quadrature's rounding floor is no longer small "
-            "against K0(m|delta|)/pi"
-        )
-    big_p = max(3000.0 / d, 30.0 * mass + 10.0)
-
-    # integration-by-parts corrections for int_P^inf cos(p d) f(p) dp; below
-    # d ~ 1e-81 the powers of P and d leave the float range and the sum is not finite
-    with np.errstate(all="ignore"):
-        u = big_p * big_p + mass * mass
-        f = u**-0.5
-        fp = -big_p * u**-1.5
-        fpp = (2 * big_p * big_p - mass * mass) * u**-2.5
-        fppp = 3 * big_p * (3 * mass * mass - 2 * big_p * big_p) * u**-3.5
-        s, c = np.sin(big_p * d), np.cos(big_p * d)
-        tail = -s * f / d - c * fp / d**2 + s * fpp / d**3 + c * fppp / d**4
-    if not np.isfinite(tail):
-        raise DomainError(f"separation {delta:g} is too small for the kernel's tail expansion")
-
+    x, w = _legendre_rule(16)
     # geometric run e -> 1.5 e + 0.5 m near p = 0, while the growth is below half a period
-    w_osc = np.pi / d
+    w_max = np.pi / d.min()
     edges = [0.0]
-    while edges[-1] < big_p and 0.5 * (mass + edges[-1]) < w_osc:
+    while 0.5 * (mass + edges[-1]) < w_max:
         edges.append(1.5 * edges[-1] + 0.5 * mass)
-    head = 0.0
-    direct = [edges]  # runs of panel edges that take cos(p d) directly
-    if edges[-1] < big_p:
-        # arithmetic run in phase theta = p d: panels exactly pi wide from theta0,
-        # so cos theta = (-1)^j cos(theta0 + (1 + x_i) pi/2) on panel j
-        theta0 = edges[-1] * d
-        n = int((big_p * d - theta0) / np.pi)
-        # when the n-th panel rounds to end at or past P, stop one short: the
-        # partial panel up to P must not be empty
-        if n and (theta0 + n * np.pi) / d >= big_p:
-            n -= 1
-        start = edges[-1]
-        if n:
-            x, w = _legendre_rule(16)
-            offset = theta0 + (1.0 + x) * (0.5 * np.pi)
-            p = (offset + np.pi * np.arange(n)[:, None]) / d
-            inv_p0 = 1.0 / np.sqrt(p * p + mass * mass)
-            # pair the panels first, so the running sum adds small positive terms
-            pairs = inv_p0[0 : n - 1 : 2] - inv_p0[1:n:2]
-            alternating = pairs.sum(axis=0) + (inv_p0[-1] if n % 2 else 0.0)
-            head = 0.5 * np.pi / d * float(np.sum(w * np.cos(offset) * alternating))
-            start = (theta0 + n * np.pi) / d
-        direct.append([start, big_p])
-    else:
-        edges[-1] = big_p
-    for run in direct:
-        if len(run) > 1:
-            p, w = gauss_panels_edges(run, 16)
-            head += float(np.sum(w * np.cos(p * d) / np.sqrt(p * p + mass * mass)))
-    return (head + tail) / np.pi
+    edges = np.array(edges)
+    panels = np.searchsorted(0.5 * (mass + edges), np.pi / d)  # K_i
+    p, w_p = panel_rule(edges, 16)
+    terms = np.multiply(d[:, None, None], p)
+    np.cos(terms, out=terms)
+    terms *= w_p / np.sqrt(p * p + mass * mass)
+    # running[i, k] sums the first k panels, so the panels past K_i do not touch column K_i
+    running = np.zeros((d.size, edges.size))
+    np.cumsum(np.sum(terms, axis=-1), axis=-1, out=running[:, 1:])
+    head = running[np.arange(d.size), panels]
+    # phase run from theta0: cos theta = (-1)^j cos(theta0 + (1 + x_i) pi/2) on panel j,
+    # and dp/p0 = dtheta / hypot(theta, m delta)
+    offset = (edges[panels] * d)[:, None] + (1.0 + x) * (0.5 * np.pi)
+    theta = offset[:, None, :] + np.pi * np.arange(_PHASE_PANELS)[:, None]
+    r = np.sqrt(theta * theta + np.square(mass * d)[:, None, None])
+    pieces = np.sum((w * np.cos(offset))[:, None, :] / r, axis=-1)
+    return head / np.pi + 0.5 * np.sum(_alternating_weights(_PHASE_PANELS) * pieces, axis=-1)
 
 
-def _kernel_dirichlet(cutoff: float, delta: float) -> float:
-    """(1/2pi) int_{-c}^{c} exp(i p delta) dp = sin(c delta)/(pi delta)."""
-    return float(cutoff / np.pi * np.sinc(cutoff * delta / np.pi))
-
-
-def position_kernel(mass: float, delta: float, mode: KernelMode) -> float:
+def position_kernel(mass: float, delta, mode: KernelMode):
     """Equal-time overlap of two position states separated by delta.
 
-    Real by symmetry of the integrand.  delta must be finite.  In
-    relativistic mode it must also be nonzero; in nonrelativistic mode
-    the Dirichlet value cutoff/pi is returned at delta = 0.
+    Real by symmetry of the integrand; elementwise over an array, a float
+    for a scalar.  delta must be finite.  In relativistic mode |delta|
+    must be at least MIN_SEPARATION and m|delta| at most
+    MAX_MASS_SEPARATION, and blocks of _KERNEL_BLOCK separations bound
+    the memory of one call; in nonrelativistic mode the Dirichlet value
+    cutoff/pi is returned at delta = 0.  Errors name the first bad entry.
     """
     if not mass > 0:
         raise ValueError("mass must be positive")
-    if not np.isfinite(delta):
-        raise ValueError(f"separation must be finite, got {delta}")
-    if mode.tag == "relativistic":
-        return _kernel_relativistic(mass, delta)
-    return _kernel_dirichlet(mode.cutoff, delta)
+    delta = np.asarray(delta, dtype=float)
+    bad = delta[~np.isfinite(delta)]
+    if bad.size:
+        raise ValueError(f"separation must be finite, got {bad[0]}")
+    if mode.tag == "nonrelativistic":
+        # (1/2pi) int_{-c}^{c} exp(i p delta) dp = sin(c delta)/(pi delta)
+        kernel = mode.cutoff / np.pi * np.sinc(mode.cutoff * delta / np.pi)
+        return float(kernel) if kernel.ndim == 0 else kernel
+    d = np.abs(delta)
+    if np.any(d < MIN_SEPARATION):
+        raise DomainError(f"separation {delta[d < MIN_SEPARATION][0]:g} is below "
+                          f"{MIN_SEPARATION:g}; the kernel diverges at zero separation")
+    if np.any(mass * d > MAX_MASS_SEPARATION):
+        raise DomainError(f"separation {delta[mass * d > MAX_MASS_SEPARATION][0]:g} at mass "
+                          f"{mass:g} puts m|delta| beyond {MAX_MASS_SEPARATION:g}, where the "
+                          "rounding floor is no longer small against K0(m|delta|)/pi")
+    kernel, flat = np.empty(d.size), d.ravel()
+    for lo in range(0, d.size, _KERNEL_BLOCK):
+        kernel[lo : lo + _KERNEL_BLOCK] = _kernel_relativistic(mass, flat[lo : lo + _KERNEL_BLOCK])
+    return float(kernel[0]) if delta.ndim == 0 else kernel.reshape(delta.shape)
 
 
 def bessel_k0(z):

@@ -412,7 +412,7 @@ def test_kernel_below_float_range_is_domain_error(tmp_path, capsys):
 
 def test_kernel_beyond_resolved_separation_is_domain_error(tmp_path, capsys):
     # m|delta| up to 30 at mass 1: past 20 the kernel's relative error climbs from
-    # 4.7e-7 towards 5.0e-3 at 30, so it raises instead
+    # about 4e-8 towards 1.1e-4 at 30, so it raises instead
     out = tmp_path / "out"
     rc = main(["kernel", "--scenario", "single_rest", "--out", str(out),
                "--delta-lo", "25", "--delta-hi", "30", "--n", "3"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import k0 as scipy_k0
@@ -13,10 +15,10 @@ from kgflow import (
     nw_gram_check,
     position_kernel,
 )
-from kgflow.newton_wigner import nw_amplitude_grid, nw_density_grid
+from kgflow.newton_wigner import _KERNEL_BLOCK, nw_amplitude_grid, nw_density_grid
 from kgflow.current import current_grid
 from kgflow.states import psi_grid
-from kgflow._quad import _legendre_rule, gauss_panels
+from kgflow._quad import _alternating_weights, _legendre_rule, gauss_panels
 
 REL = KernelMode(tag="relativistic")
 
@@ -90,7 +92,8 @@ def test_kernel_diverges_at_zero_separation():
 
 @pytest.mark.parametrize("delta", [1e-100, 1e-200, np.float64(1e-300)])
 def test_kernel_below_float_range_raises(delta):
-    # the tail expansion's powers of 3000/delta overflow; warnings are errors here
+    # below MIN_SEPARATION = 1e-81 the kernel raises (the sum itself would hold to
+    # about 1e-153, where p^2 overflows); warnings are errors here
     with pytest.raises(DomainError, match="separation"):
         position_kernel(1.0, delta, REL)
     mine = position_kernel(1.0, 1e-80, REL)
@@ -106,8 +109,8 @@ def test_kernel_compton_decay():
 
 
 def test_kernel_raises_beyond_resolved_separation():
-    # the head's rounding floor of about 1e-16 leaves 4.7e-7 relative error at
-    # m|delta| = 20, 5.3e-5 at 25 and 5.0e-3 at 30, so the kernel stops at 20
+    # the rounding floor of about 1e-16 leaves up to 4e-8 relative error at
+    # m|delta| = 20, 1.1e-6 at 25 and 1.1e-4 at 30, so the kernel stops at 20
     assert position_kernel(1.0, 20.0, REL) > 0
     with pytest.raises(DomainError, match="m\\|delta\\|"):
         position_kernel(1.0, 20.5, REL)
@@ -115,10 +118,15 @@ def test_kernel_raises_beyond_resolved_separation():
 
 @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0, 5.0])
 def test_kernel_accuracy_against_scipy(mass):
-    # the alternating phase-unit head keeps the absolute error near 1e-16; from
+    # the accelerated phase series keeps the absolute error near 1e-16; from
     # m|delta| = 2 pi on (mass 5, delta = 4 among them) there is no geometric run
     # and the pi-wide phase panels start at p = 0
-    for zs, bound in ((np.linspace(0.1, 5.0, 99), 1e-13), (np.linspace(5.0, 20.0, 76), 1e-6)):
+    bands = (
+        (np.linspace(0.1, 5.0, 99), 1e-13),
+        (np.linspace(5.0, 10.0, 26), 5e-12),
+        (np.linspace(10.0, 20.0, 51), 1e-7),
+    )
+    for zs, bound in bands:
         for z in zs:
             oracle = scipy_k0(z) / np.pi
             assert abs(position_kernel(mass, float(z / mass), REL) - oracle) <= bound * oracle
@@ -138,10 +146,9 @@ def test_bessel_rejects_non_finite_argument(z):
 
 
 def test_kernel_phase_run_ending_on_big_p():
-    # three geometric panels end at p = 2.375 m, so theta0 = 2.375 m|delta| and
-    # P|delta| - theta0 = 3000 - 2.375 m|delta| is 953 pi to rounding: in most of these
-    # floats the 953rd phase panel ends at or past P, so the run must stop one short
-    # (the last panel then left empty makes gauss_panels_edges raise)
+    # three geometric panels end at p = 2.375 m, so theta0 = 2.375 m|delta|, and
+    # 3000 - theta0 is 953 pi to rounding: a kernel that sums its phase panels out
+    # to P|delta| = 3000 and adds a tail from P has its last panel end on P here
     centre = (3000.0 - 953.0 * np.pi) / 2.375
     for delta in centre + np.spacing(centre) * np.arange(-4, 5):
         oracle = scipy_k0(delta) / np.pi
@@ -234,3 +241,60 @@ def test_bessel_scalar_returns_float():
 def test_bessel_array_rejects_one_bad_entry(bad):
     with pytest.raises(ValueError, match="positive and finite"):
         bessel_k0(np.array([0.5, bad, 2.0]))
+
+
+@pytest.mark.parametrize("deltas", [np.linspace(0.1, 5.0, 25), np.array([1e-80])])
+def test_kernel_array_matches_scalar_calls(deltas):
+    values = position_kernel(1.0, deltas, REL)
+    assert values.shape == deltas.shape
+    scalars = np.array([position_kernel(1.0, float(d), REL) for d in deltas])
+    assert values.tobytes() == scalars.tobytes()
+
+
+def test_kernel_nonrelativistic_elementwise():
+    mode = KernelMode(tag="nonrelativistic", cutoff=25.0)
+    deltas = np.array([0.0, 0.3, -1.2])
+    values = position_kernel(1.0, deltas, mode)
+    assert values.tobytes() == np.array([position_kernel(1.0, d, mode) for d in deltas]).tobytes()
+    assert values[0] == pytest.approx(25.0 / np.pi)
+
+
+def test_kernel_scalar_returns_float():
+    for mode in (REL, KernelMode(tag="nonrelativistic")):
+        assert type(position_kernel(1.0, 1.0, mode)) is float
+        assert type(position_kernel(1.0, np.float64(2.0), mode)) is float
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(0.0, DomainError), (25.0, DomainError), (1e-90, DomainError),
+     (np.nan, ValueError), (np.inf, ValueError)],
+)
+def test_kernel_array_rejects_one_bad_entry(bad, error):
+    with pytest.raises(error, match=f"separation {bad:g}" if error is DomainError else "finite"):
+        position_kernel(1.0, np.array([0.5, bad, 2.0]), REL)
+
+
+def test_kernel_memory_bounded_by_block():
+    # a call shares the longest geometric run of a block, about 455 panels at 1e-80,
+    # so the blocks bound its memory whatever the number of separations
+    def peak(n):
+        tracemalloc.start()
+        try:
+            position_kernel(1.0, np.geomspace(1e-80, 20.0, n), REL)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(_KERNEL_BLOCK)  # fill the rule caches outside the measurement
+    assert peak(4 * _KERNEL_BLOCK) <= 1.1 * peak(_KERNEL_BLOCK)
+
+
+def test_alternating_weights_sum_known_series():
+    c = _alternating_weights(23)
+    k = np.arange(23)
+    assert abs(np.dot(c, 1.0 / (k + 1)) - np.log(2.0)) <= 1e-15
+    assert abs(np.dot(c, 1.0 / (2 * k + 1)) - np.pi / 4) <= 1e-15
+    assert _alternating_weights(23) is c
+    with pytest.raises(ValueError):
+        c[0] = 0.0
