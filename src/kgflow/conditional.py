@@ -136,15 +136,15 @@ def _require_before(f, t):
         raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
 
 
-def _weighted_from(f, bilinear):
+def _weighted_from(amplitude_fi, bilinear):
     """The pole-free products w^a = -Im(conj(<f|i>) E^a) / 2, one per E^a of bilinear."""
-    amp_bar = np.conj(f.amplitude_fi)
+    amp_bar = np.conj(amplitude_fi)
     return tuple(-0.5 * np.imag(amp_bar * e) for e in bilinear)
 
 
-def _checked_probability(f, amplitude_floor):
-    """|<f|i>|^2 of every outcome of f, after the amplitude-floor check."""
-    amplitude = np.abs(f.amplitude_fi)
+def _checked_probability(amplitude_fi, amplitude_floor):
+    """|<f|i>|^2 of every outcome amplitude <f|i>, after the amplitude-floor check."""
+    amplitude = np.abs(amplitude_fi)
     if amplitude.min() <= amplitude_floor:
         raise ZeroProbabilityOutcomeError(
             f"outcome amplitude {amplitude.min():.3e} at or below floor {amplitude_floor:.3e}"
@@ -160,7 +160,7 @@ def conditional_current_grid(
     amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
 ):
     """Vectorized conditional (j0, j1) over positions at fixed t: w^a / |<f|i>|^2."""
-    a2 = _checked_probability(f, amplitude_floor)
+    a2 = _checked_probability(f.amplitude_fi, amplitude_floor)
     return tuple(w / a2 for w in weighted_integrand_grid(initial, f, t, xs))
 
 
@@ -183,19 +183,15 @@ def conditional_current(
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
     """Vectorized pole-free j^a(x|f) |<f|i>|^2; a stacked f adds an outcome axis."""
-    return _weighted_grid(initial, f, t, xs, columns=3)
+    _require_before(f, t)
+    return _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs))
 
 
 def weighted_density_grid(initial: SpectralState, f, t: float, xs):
     """The time component of weighted_integrand_grid alone, from psi and d0 columns only."""
-    (w0,) = _weighted_grid(initial, f, t, xs, columns=2)
-    return w0
-
-
-def _weighted_grid(initial, f, t, xs, columns):
-    """The pole-free products for the E^a that _bilinear_grid forms from columns columns."""
     _require_before(f, t)
-    return _weighted_from(f, _bilinear_grid(initial, f, t, xs, columns))
+    (w0,) = _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs, columns=2))
+    return w0
 
 
 def weighted_integrand(initial: SpectralState, f: FinalOutcome, e: Event) -> FourVector:

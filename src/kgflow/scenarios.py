@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditional import OutcomeEnsemble, make_outcome_ensemble
 from .errors import ScenarioError
-from .states import GridSpec, SpectralState, make_gaussian_packet, superpose
+from .states import GridSpec, SpectralState, _edge_envelope, make_gaussian_packet, superpose
 from .trajectories import Box
 
 BUNDLED_NAMES = ("single_rest", "single_boosted", "s1_negative_density", "s1_conditional")
@@ -224,13 +224,7 @@ def load_scenario(source) -> Scenario:
 
 def truncation_defect(scenario: Scenario) -> float:
     """Largest packet envelope amplitude at the grid endpoints, over peak."""
-    worst = 0.0
-    for pk in scenario.packets:
-        for edge in (scenario.grid.p_min, scenario.grid.p_max):
-            worst = max(
-                worst, float(np.exp(-((edge - pk.p_center) ** 2) / (4 * pk.p_width**2)))
-            )
-    return worst
+    return max(_edge_envelope(pk.p_center, pk.p_width, scenario.grid) for pk in scenario.packets)
 
 
 def build_state(scenario: Scenario, check_truncation: bool = True) -> SpectralState:

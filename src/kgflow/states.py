@@ -166,6 +166,12 @@ def invariant_norm(state: SpectralState) -> float:
     return float(np.sqrt(np.sum(state.weights * np.abs(state.amplitudes) ** 2)))
 
 
+def _edge_envelope(p_center: float, p_width: float, grid: GridSpec) -> float:
+    """The larger of exp(-(p - p_center)^2 / (4 p_width^2)) at the grid's two ends p."""
+    ends = (grid.p_min, grid.p_max)
+    return max(float(np.exp(-((p - p_center) ** 2) / (4 * p_width**2))) for p in ends)
+
+
 def make_gaussian_packet(
     mass: float,
     p_center: float,
@@ -192,10 +198,7 @@ def make_gaussian_packet(
             "grid [%g, %g] must contain p_center +/- 6 p_width" % (grid.p_min, grid.p_max)
         )
     if check_truncation:
-        defect = max(
-            np.exp(-((grid.p_min - p_center) ** 2) / (4 * p_width**2)),
-            np.exp(-((grid.p_max - p_center) ** 2) / (4 * p_width**2)),
-        )
+        defect = _edge_envelope(p_center, p_width, grid)
         if defect > TRUNCATION_TOL:
             raise TruncationError(
                 f"endpoint amplitude {defect:.3e} of peak exceeds {TRUNCATION_TOL:.0e}; "

@@ -38,7 +38,9 @@ from .conditional import (
     DEFAULT_AMPLITUDE_FLOOR, FinalOutcome, _bilinear, _checked_probability, _require_before,
     _weighted_from,
 )
-from .states import Event, FourVector, SpectralState, _phase_table, _require_same_grid
+from .states import (
+    Event, FourVector, SpectralState, _phase_table, _require_resolvable, _require_same_grid,
+)
 
 FieldHandle = Callable[[Event], FourVector]
 # segment_stats keys in CausalClass code order; null-vector steps count in none
@@ -129,21 +131,25 @@ def conditional_field(
 
     A stacked outcome (make_final_outcome with an array of q) conditions row
     i of each event on outcome i, at cost linear in the number of rows.
-    The amplitude floor is checked once per set of rows, not per evaluation.
+    rows(seeds) slices arrays built once with the field, the backward states'
+    weighted amplitudes and <f|i> (a lone outcome's row serves every seed),
+    and checks the amplitude floor once per set of rows, not per evaluation.
     """
     _require_same_grid(initial, outcome.backward_state)
     own = initial._psi_dpsi_columns[..., 0]  # the weighted amplitudes
+    theirs = outcome.backward_state._psi_dpsi_columns[..., 0].T.reshape(-1, own.size)
+    amplitudes = np.reshape(outcome.amplitude_fi, -1)
 
     def rows(seeds):
-        f = outcome if np.size(outcome.q_value) == 1 else outcome.rows(seeds)
-        coeffs = np.stack(np.broadcast_arrays(own, f.backward_state._psi_dpsi_columns[..., 0].T))
-        a2 = _checked_probability(f, amplitude_floor)
+        pick = seeds if amplitudes.size > 1 else slice(None)
+        amp = amplitudes[pick]
+        a2 = _checked_probability(amp, amplitude_floor)
 
         def read(t, values):
-            _require_before(f, t)
-            return tuple(w / a2 for w in _weighted_from(f, _bilinear(values[:, 0], values[:, 1])))
+            _require_before(outcome, t)
+            return tuple(w / a2 for w in _weighted_from(amp, _bilinear(values[:, 0], values[:, 1])))
 
-        return coeffs.reshape(2, -1, own.size), read
+        return np.stack(np.broadcast_arrays(own, theirs[pick])), read
 
     def evaluate(t, x):
         t, x = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
@@ -398,6 +404,8 @@ def trace_many(
         densities[-1][rows] = j[:, 0]
 
     path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
+    if isinstance(field, TableField):  # the points read off jets took no table's range check
+        _require_resolvable(field.state, path[..., 0], path[..., 1])
     arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
     flips = densities[:-1] * densities[1:] < 0
     codes = _class_codes(deltas[..., 0], deltas[..., 1])

@@ -164,6 +164,16 @@ def test_conditional_seed_step_past_measurement_time(tmp_path, capsys):
     assert "--step 10" in err and "T = 2" in err
 
 
+def test_conditional_seed_without_final_block(tmp_path, capsys):
+    # a T,X,Q seed needs the scenario's measurement time T
+    out = tmp_path / "out"
+    rc = main(["trajectories", "--scenario", "s1_negative_density", "--out", str(out),
+               "--seed=0,0.5,1.0"])
+    assert rc == 2
+    assert "has no final block" in capsys.readouterr().err
+    assert not (out / "trajectories.csv").exists()
+
+
 def test_trajectories_seed_outside_box(tmp_path):
     rc = main([
         "trajectories", "--scenario", "s1_negative_density",

@@ -24,9 +24,9 @@ from kgflow import (
 )
 from kgflow import trajectories
 from kgflow.current import current_grid
-from kgflow.states import _phase_table
+from kgflow.states import SpectralState, _phase_table
 from kgflow.trajectories import JET_RADIUS, _Jets, _jet_plan, conditional_field
-from kgflow.conditional import conditional_current_grid, make_final_outcome
+from kgflow.conditional import FinalOutcome, conditional_current_grid, make_final_outcome
 
 from conftest import max_turn_deg
 
@@ -534,3 +534,48 @@ def test_tracer_raises_beyond_resolvable_range(s1_state):
     field = conditional_field(s1_state, make_final_outcome(1.0, 2.0, s1_state))
     with pytest.raises(DomainError, match="resolvable range"):
         field(Event(0.0, 150.0))
+
+
+def test_accepted_points_past_the_resolvable_range_raise():
+    # a packet sent towards the bound: the line crosses it at its second step and
+    # stops before the next jet centre, so no exact table sees the crossing
+    grid = GridSpec(-1.6, 4.6)
+    bound = grid.resolvable_range
+    field = standard_field(make_gaussian_packet(1.0, 3.0, 0.15, bound - 2.0, grid))
+    every = _jet_plan(field.state, 0.02)[0]
+    box, seed = Box(-1.0, 1.0, 0.0, 2.0 * bound), Event(0.0, bound - 0.03)
+    assert every > 4
+    (line,) = trace_many(field, [seed], 0.02, 1, box)
+    assert np.abs(line.points).sum(axis=1).max() <= bound
+    for n_steps in (2, 4):
+        with pytest.raises(DomainError, match="resolvable range"):
+            trace_many(field, [seed], 0.02, n_steps, box)
+
+
+def test_stopped_conditional_lines_build_no_state(bundled_states, monkeypatch):
+    # nine lines of a stacked fan leave the box at different steps; each stop
+    # slices the outcome rows off arrays the field built, so trace_many
+    # constructs no SpectralState or FinalOutcome
+    state = bundled_states["s1_conditional"]
+    qs = np.linspace(-2.0, 5.0, 9)
+    seeds = [Event(1.9 - 0.2 * i, -4.0 + i) for i in range(9)]
+    box = Box(-2.0, 2.0 - 0.02, -6.0, 6.0)
+    stacked = conditional_field(state, make_final_outcome(qs, 2.0, state))
+    built = []
+    for cls in (SpectralState, FinalOutcome):
+        def counting(self, post_init=cls.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    make_final_outcome(qs[:2], 2.0, state)
+    assert built == ["SpectralState", "FinalOutcome"]  # the count sees constructions
+    built.clear()
+    lines = trace_many(stacked, seeds, 0.02, 150, box)
+    monkeypatch.undo()
+    assert built == []
+    stops = {len(line.codes) for line in lines if line.stop_reason != "max-steps"}
+    assert len(stops) >= 4
+    for q, seed, line in zip(qs, seeds, lines):
+        alone = conditional_field(state, make_final_outcome(q, 2.0, state))
+        assert_same_line(line, trace(alone, seed, 0.02, 150, box))
