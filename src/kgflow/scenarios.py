@@ -3,17 +3,19 @@
 A scenario fixes the mass, the Gaussian packets of the prepared state,
 the momentum grid, the spacetime box for scans and traces, and
 optionally a final measurement block (time T plus the outcome grid).
-Unknown fields are rejected everywhere so a typo in a physics parameter
-cannot pass silently.
+The packet, grid, box and final blocks take exactly the fields of
+PacketSpec, GridSpec, Box and FinalSpec.  Unknown fields are rejected
+everywhere so a typo in a physics parameter cannot pass silently.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -50,6 +52,15 @@ class FinalSpec:
     q_lo: float
     q_hi: float
     n_q: int
+
+
+def _field_types(cls) -> dict:
+    """A dataclass's field names and resolved types, in declaration order: a block's schema."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_PACKET, _GRID, _BOX, _FINAL = map(_field_types, (PacketSpec, GridSpec, Box, FinalSpec))
 
 
 @dataclass(frozen=True)
@@ -124,26 +135,13 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
 
     packets = []
     for i, entry in enumerate(top["packets"]):
-        fields = _take(
-            _coerce(entry, dict, f"{context}.packets[{i}]"),
-            f"{context}.packets[{i}]",
-            required={
-                "p_center": float,
-                "p_width": float,
-                "x_center": float,
-                "coeff_re": float,
-                "coeff_im": float,
-            },
-        )
-        if not fields["p_width"] > 0:
+        where = f"{context}.packets[{i}]"
+        spec = _take(_coerce(entry, dict, where), where, _PACKET)
+        if not spec["p_width"] > 0:
             raise ScenarioError(f"packets[{i}].p_width must be positive")
-        packets.append(PacketSpec(**fields))
+        packets.append(PacketSpec(**spec))
 
-    g = _take(
-        top["grid"],
-        f"{context}.grid",
-        required={"p_min": float, "p_max": float, "panels": int, "nodes_per_panel": int},
-    )
+    g = _take(top["grid"], f"{context}.grid", _GRID)
     if not g["p_min"] < g["p_max"]:
         raise ScenarioError("grid.p_min must be below grid.p_max")
     if g["panels"] < 1 or g["nodes_per_panel"] < 2:
@@ -156,22 +154,14 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
     if grid.n_nodes < 16:
         raise ScenarioError("grid must carry at least 16 nodes")
 
-    b = _take(
-        top["box"],
-        f"{context}.box",
-        required={"t_lo": float, "t_hi": float, "x_lo": float, "x_hi": float},
-    )
+    b = _take(top["box"], f"{context}.box", _BOX)
     if not (b["t_lo"] < b["t_hi"] and b["x_lo"] < b["x_hi"]):
         raise ScenarioError("box must have positive extent on both axes")
     box = Box(**b)
 
     final = None
     if "final" in top:
-        f = _take(
-            top["final"],
-            f"{context}.final",
-            required={"T": float, "q_lo": float, "q_hi": float, "n_q": int},
-        )
+        f = _take(top["final"], f"{context}.final", _FINAL)
         if not f["q_lo"] < f["q_hi"]:
             raise ScenarioError("final.q_lo must be below final.q_hi")
         if f["n_q"] < 2:

@@ -107,26 +107,33 @@ class SpectralState:
     amplitudes : complex a(p_k) on the last axis; a leading axis stacks
         states that share the grid (an outcome ensemble's backward states).
     weights : quadrature weights including the invariant 1/p0 factor.
-    energies : p0_k = sqrt(p_k^2 + mass^2).
+
+    The energies p0_k = sqrt(p_k^2 + mass^2) are derived, never given.
     """
 
     mass: float
     momenta: np.ndarray
     amplitudes: np.ndarray
     weights: np.ndarray
-    energies: np.ndarray
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        if not 0 < self.mass < np.inf:
+            raise ValueError("mass must be positive and finite")
         if np.any(np.diff(self.momenta) <= 0):
             raise ValueError("momenta must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be strictly positive")
-        for arr in (self.momenta, self.amplitudes, self.weights, self.energies):
+        for arr in (self.momenta, self.amplitudes, self.weights):
             if not np.all(np.isfinite(arr.view(float))):
                 raise ValueError("state arrays must be finite")
             arr.setflags(write=False)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """p0_k = sqrt(p_k^2 + mass^2) at the nodes, read-only."""
+        energies = np.sqrt(self.momenta * self.momenta + self.mass * self.mass)
+        energies.setflags(write=False)
+        return energies
 
     @cached_property
     def _resolvable_range(self) -> float:
@@ -151,13 +158,11 @@ def _kernel_matrix(state: SpectralState, coeffs):
 
 
 def _freeze(mass, momenta, amplitudes, weights) -> SpectralState:
-    energies = np.sqrt(momenta * momenta + mass * mass)
     return SpectralState(
         mass=float(mass),
         momenta=np.array(momenta, dtype=float),
         amplitudes=np.array(amplitudes, dtype=complex),
         weights=np.array(weights, dtype=float),
-        energies=energies,
     )
 
 
@@ -318,9 +323,7 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
     coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
     if np.ndim(t) or not 0 < xs.n <= coarse.size * fine.size:
         raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions, n >= 1")
-    # uniform_lattice's positions increase, so the first and the n-th bound |x|
-    row, col = divmod(xs.n - 1, fine.size)
-    _require_resolvable(state, t, np.array([coarse[0] + fine[0], coarse[row] + fine[col]]))
+    _require_resolvable(state, t, (coarse[:, None] + fine).ravel()[: xs.n])
     table = _phase_table_core(state, t, coarse)
     fine_table = _phase_table_core(state, 0.0, fine)
     if flat.shape[1] >= fine.size:

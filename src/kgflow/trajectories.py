@@ -130,7 +130,8 @@ def conditional_field(
     """Field handle for the current conditioned on a final outcome.
 
     A stacked outcome (make_final_outcome with an array of q) conditions row
-    i of each event on outcome i, at cost linear in the number of rows.
+    i of each event on outcome i, at cost linear in the number of rows; an
+    event or a set of seeds needs one row per outcome (ValueError otherwise).
     rows(seeds) slices arrays built once with the field, the backward states'
     weighted amplitudes and <f|i> (a lone outcome's row serves every seed),
     and checks the amplitude floor once per set of rows, not per evaluation.
@@ -154,11 +155,21 @@ def conditional_field(
     def evaluate(t, x):
         t, x = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
         (coeffs, read), jets = rows(slice(None)), _Jets(initial, 0)  # each event a centre
+        _require_row_count(coeffs, t.size)
         taylor = jets.centre(_phase_table(initial, t.ravel(), x.ravel()), coeffs)
         values = jets.at(taylor, np.zeros((t.size, 2)), 0)
         return tuple(j.reshape(t.shape)[()] for j in read(t.ravel(), values))
 
     return TableField(initial, evaluate, rows)
+
+
+def _require_row_count(coeffs, n: int):
+    """ValueError unless coeffs (S, rows, K) have one row per seed or event, or one for all n."""
+    if coeffs.shape[1] not in (1, n):
+        raise ValueError(
+            f"a field stacked over {coeffs.shape[1]} outcomes takes one seed or event per "
+            f"outcome, not {n}"
+        )
 
 
 # the phase |p dx - p0 dt| that one centre's jets cover
@@ -242,7 +253,8 @@ class _JetStages:
         self.state, self.rows = field.state, field.rows
         self.every, self.degrees = _jet_plan(self.state, step)
         self.jets = _Jets(self.state, self.degrees[-1])
-        self.coeffs, self.read = self.rows(np.arange(n))
+        self.coeffs, self.read = self.rows(slice(None))
+        _require_row_count(self.coeffs, n)
 
     def _centre(self, p):
         table = _phase_table(self.state, p[:, 0], p[:, 1])

@@ -174,6 +174,34 @@ def test_conditional_seed_without_final_block(tmp_path, capsys):
     assert not (out / "trajectories.csv").exists()
 
 
+def test_trajectories_default_seed_fan(tmp_path, s1_scenario):
+    # no --seed: nine unconditional seeds across the box at t = 0
+    out = tmp_path / "out"
+    rc = main(["trajectories", "--scenario", "s1_negative_density", "--out", str(out),
+               "--max-steps", "20"])
+    assert rc == 0
+    lines = json.loads((out / "trajectories_summary.json").read_text())["trajectories"]
+    box = s1_scenario.box
+    xs = box.x_lo + (box.x_hi - box.x_lo) * np.linspace(0.1, 0.9, 9)
+    assert [(e["seed"]["t"], e["seed"]["x"], e["outcome_q"]) for e in lines] == [
+        (0.0, x, None) for x in xs.tolist()
+    ]
+    assert {r["traj_id"] for r in read_csv(out / "trajectories.csv")} == {
+        str(i) for i in range(9)
+    }
+
+
+@pytest.mark.parametrize("args, message", [
+    (["density", "--n-x", "1"], "--n-x must be at least 2"),
+    (["kernel", "--n", "0"], "--n must be at least 1"),
+])
+def test_too_few_samples_exit_code(tmp_path, capsys, args, message):
+    rc = main(args + ["--scenario", "single_rest", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"kg-flow: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_trajectories_seed_outside_box(tmp_path):
     rc = main([
         "trajectories", "--scenario", "s1_negative_density",

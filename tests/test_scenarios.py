@@ -151,3 +151,59 @@ def test_nodes_per_panel_bounded_at_one_hundred():
         scenario_from_dict(raw)
     raw["grid"].update(nodes_per_panel=100, panels=1)
     assert scenario_from_dict(raw).grid.nodes_per_panel == 100
+
+
+FINAL = {"T": 2.0, "q_lo": -5.0, "q_hi": 5.0, "n_q": 11}
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("mass",), float("inf"), "{ctx}.mass must be finite"),
+    (("mass",), "heavy", "{ctx}.mass must be a number"),
+    (("mass",), True, "{ctx}.mass must be a number"),
+    (("grid", "panels"), 8.0, "{ctx}.grid.panels must be an integer"),
+    (("final", "n_q"), True, "{ctx}.final.n_q must be an integer"),
+    (("name",), 3, "{ctx}.name must be a string"),
+    (("packets",), {}, "{ctx}.packets must be a list"),
+    (("grid",), [], "{ctx}.grid must be an object"),
+    (("final",), 1.0, "{ctx}.final must be an object"),
+    (("packets", 0), 1.0, "{ctx}.packets[0] must be an object"),
+    (("extra",), 1, "unknown field(s) ['extra'] in {ctx}"),
+    (("packets", 0, "p_sigma"), 0.1, "unknown field(s) ['p_sigma'] in {ctx}.packets[0]"),
+    (("name",), "a b", "scenario name must be nonempty and filesystem-safe"),
+    (("mass",), 0.0, "mass must be positive"),
+    (("packets",), [], "scenario needs at least one packet"),
+    (("packets", 0, "p_width"), 0.0, "packets[0].p_width must be positive"),
+    (("grid", "p_min"), 3.0, "grid.p_min must be below grid.p_max"),
+    (("grid", "panels"), 0, "grid needs at least 1 panel and 2 nodes per panel"),
+    (("grid", "nodes_per_panel"), 1, "grid needs at least 1 panel and 2 nodes per panel"),
+    (("grid", "nodes_per_panel"), 101, "{ctx}.grid.nodes_per_panel must be at most 100"),
+    (("grid",), dict(GOOD["grid"], panels=1, nodes_per_panel=8),
+     "grid must carry at least 16 nodes"),
+    (("box", "t_hi"), -1.0, "box must have positive extent on both axes"),
+    (("box", "x_lo"), 8.0, "box must have positive extent on both axes"),
+    (("box", "x_hi"), 90.0, "box reach max|x| + max|t| = 91 exceeds the grid's resolvable "
+                            "range 86.7"),
+    (("final", "q_lo"), 5.0, "final.q_lo must be below final.q_hi"),
+    (("final", "n_q"), 1, "final.n_q must be at least 2"),
+    (("final", "q_hi"), 85.0, "final outcome range [-5, 85] at T = 2 exceeds the grid's "
+                              "resolvable range 86.7"),
+    ((), [GOOD], "{ctx} must contain a JSON object"),
+])
+def test_loader_errors_keep_their_messages(tmp_path, keys, value, message):
+    # GOOD with a final block and the value at keys; read from a file, so the
+    # non-object JSON reaches load_scenario and each message carries the path
+    raw = clone(final=dict(FINAL))
+    if not keys:
+        raw = value
+    else:
+        *parents, last = keys
+        target = raw
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert type(err.value) is ScenarioError
+    assert str(err.value) == message.format(ctx=path)

@@ -21,6 +21,7 @@ from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import (
     Lattice,
+    SpectralState,
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
@@ -168,6 +169,14 @@ def test_lattice_range_check_reads_positions_not_offsets(bundled_states):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15 * peak)
 
 
+def test_lattice_range_check_reads_every_position(s1_state):
+    # positions 0, 150, 10: the first and the n-th lie within the bound of 83.9, the second not
+    lattice = Lattice(np.array([0.0, 10.0]), np.array([0.0, 150.0]), 3)
+    for evaluate in (current_grid, lambda s, t, xs: nw_density_grid(s, xs, t)):
+        with pytest.raises(DomainError, match="150 is beyond resolvable range 83.9"):
+            evaluate(s1_state, 0.0, lattice)
+
+
 def test_psi_real_positive_at_origin(rest_packet):
     val = evaluate_psi(rest_packet, Event(0.0, 0.0))
     assert val.real > 0
@@ -232,6 +241,33 @@ def test_states_are_immutable(rest_packet):
         rest_packet.amplitudes[0] = 0.0
     with pytest.raises(ValueError):
         rest_packet.weights[0] = 1.0
+
+
+def test_energies_are_derived_and_read_only(rest_packet, s1_state):
+    for state in (rest_packet, s1_state):
+        p = state.momenta
+        assert np.array_equal(state.energies, np.sqrt(p * p + state.mass * state.mass))
+        with pytest.raises(ValueError):
+            state.energies[0] = 1.0
+    with pytest.raises(TypeError):
+        SpectralState(rest_packet.mass, rest_packet.momenta, rest_packet.amplitudes,
+                      rest_packet.weights, energies=2.0 * rest_packet.energies)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mass", 0.0, "mass must be positive"),
+    ("mass", np.inf, "mass must be positive"),
+    ("momenta", np.linspace(1.0, -1.0, 4), "momenta must be strictly increasing"),
+    ("weights", np.array([1.0, 0.0, 1.0, 1.0]), "weights must be strictly positive"),
+    ("amplitudes", np.array([1.0, np.nan, 1.0, 1.0], dtype=complex), "must be finite"),
+    ("weights", np.array([1.0, np.inf, 1.0, 1.0]), "must be finite"),
+])
+def test_state_constructor_rejects_bad_arrays(field, value, message):
+    arrays = dict(mass=1.0, momenta=np.linspace(-1.0, 1.0, 4),
+                  amplitudes=np.ones(4, dtype=complex), weights=np.ones(4))
+    arrays[field] = value
+    with pytest.raises(ValueError, match=message):
+        SpectralState(**arrays)
 
 
 def test_superposition_stays_positive_energy(s1_state):

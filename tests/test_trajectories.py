@@ -579,3 +579,20 @@ def test_stopped_conditional_lines_build_no_state(bundled_states, monkeypatch):
     for q, seed, line in zip(qs, seeds, lines):
         alone = conditional_field(state, make_final_outcome(q, 2.0, state))
         assert_same_line(line, trace(alone, seed, 0.02, 150, box))
+
+
+def test_stacked_conditional_field_checks_its_seed_count(bundled_states):
+    # three outcomes take three seeds or event rows; a lone outcome serves any number
+    state = bundled_states["s1_conditional"]
+    field = conditional_field(state, make_final_outcome([0.0, 1.0, 2.0], 2.0, state))
+    box = Box(-1.0, 1.9, -6.0, 6.0)
+    for n in (1, 4):
+        seeds = [Event(0.0, 0.5 * i) for i in range(n)]
+        with pytest.raises(ValueError, match=f"stacked over 3 outcomes .* not {n}$"):
+            trace_many(field, seeds, 0.02, 5, box)
+    with pytest.raises(ValueError, match="stacked over 3 outcomes .* not 1$"):
+        field(Event(0.0, 0.0))
+    assert len(trace_many(field, [Event(0.0, 0.5 * i) for i in range(3)], 0.02, 5, box)) == 3
+    lone = conditional_field(state, make_final_outcome(1.0, 2.0, state))
+    assert len(trace_many(lone, [Event(0.0, 0.5 * i) for i in range(4)], 0.02, 5, box)) == 4
+    assert np.shape(lone(Event(np.zeros(4), np.arange(4.0))).v0) == (4,)
