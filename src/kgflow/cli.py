@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from ._csv import write_csv
 from .conditional import DEFAULT_AMPLITUDE_FLOOR, make_final_outcome
 from .current import _CLASS_VALUES, current_grid
 from .errors import DomainError
@@ -28,23 +28,6 @@ from .trajectories import (
     FRACTION_KEYS, Box, conditional_field, segment_stats, standard_field, trace_many,
 )
 from .validation import run_validation
-
-
-def _write_blocks(path: Path, header, blocks):
-    """A header line, then each block (lead, rows): rows of one kind, each opened by lead's cells.
-
-    A block is one %-format repeated over its rows and one write, with the
-    lead cells formatted into that format once.  Strings pass through,
-    everything else is %.17g.
-    """
-    cells = lambda row: ",".join("%s" if isinstance(c, str) else "%.17g" for c in row)  # noqa: E731
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for lead, rows in blocks:
-            if rows:
-                opening = (cells(lead) + ",") % tuple(lead) if lead else ""
-                fmt = opening.replace("%", "%%") + cells(rows[0]) + "\n"
-                fh.write(fmt * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _write_json(path: Path, payload):
@@ -105,11 +88,9 @@ def _run_density(args, scenario: Scenario, out: Path) -> int:
     lo, hi = scenario.box.x_lo, scenario.box.x_hi
     state = build_state(scenario)
     xs = uniform_lattice(lo, hi, args.n_x)
-    columns = (np.linspace(lo, hi, args.n_x), *current_grid(state, args.t, xs))
-    table = np.column_stack(columns + (nw_density_grid(state, xs, args.t),))
-    # rows become Python floats one block at a time, which bounds the memory they take
-    blocks = (((), table[i : i + 1024].tolist()) for i in range(0, len(table), 1024))
-    _write_blocks(out / "density.csv", ["x", "j0", "j1", "nw_density"], blocks)
+    columns = [np.linspace(lo, hi, args.n_x), *current_grid(state, args.t, xs)]
+    columns.append(nw_density_grid(state, xs, args.t))
+    write_csv(out / "density.csv", ["x", "j0", "j1", "nw_density"], columns)
     return 0
 
 
@@ -161,12 +142,22 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
         lines = trace_many(field, [seeds[i][0] for i in group], args.step, args.max_steps, box)
         traced.update(zip(group, lines))
 
-    blocks = []
+    trajs = [traced[tid] for tid in range(len(seeds))]
+    # a line's first event ends no step, so it has no class: code -1 picks the blank
+    labels = np.append(_CLASS_VALUES, "").astype(str)
+    codes = np.concatenate([np.r_[-1, traj.codes] for traj in trajs])
+    write_csv(
+        out / "trajectories.csv",
+        ["traj_id", "s", "t", "x", "class"],
+        [
+            np.repeat(np.arange(len(trajs)), [len(traj.arc) for traj in trajs]),
+            np.concatenate([traj.arc for traj in trajs]),
+            *np.concatenate([traj.points for traj in trajs]).T,
+            labels[codes],
+        ],
+    )
     summaries = []
-    for tid, (seed, q) in enumerate(seeds):
-        traj = traced[tid]
-        labels = ["", *_CLASS_VALUES[traj.codes].tolist()]
-        blocks.append(((tid,), list(zip(traj.arc.tolist(), *traj.points.T.tolist(), labels))))
+    for tid, ((seed, q), traj) in enumerate(zip(seeds, trajs)):
         # a line whose very first step left the box or hit a node has no fractions
         stats = segment_stats(traj) if traj.codes.size else dict.fromkeys(FRACTION_KEYS, 0.0)
         summaries.append(
@@ -181,7 +172,6 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
                 "fractions": stats,
             }
         )
-    _write_blocks(out / "trajectories.csv", ["traj_id", "s", "t", "x", "class"], blocks)
     _write_json(
         out / "trajectories_summary.json",
         {
@@ -207,13 +197,14 @@ def _run_kernel(args, scenario: Scenario, out: Path) -> int:
         raise ValueError("--n must be at least 1")
     mode = KernelMode(tag=args.mode, cutoff=args.cutoff)
     deltas = np.linspace(args.delta_lo, args.delta_hi, args.n)
-    kernel = position_kernel(scenario.mass, deltas, mode).tolist()
+    kernel = position_kernel(scenario.mass, deltas, mode)
     if args.mode == "relativistic":
-        oracles = (bessel_k0(scenario.mass * deltas) / np.pi).tolist()
-        rows = [(d, k, o, abs(k - o) / abs(o)) for d, k, o in zip(deltas, kernel, oracles)]
+        oracle = bessel_k0(scenario.mass * deltas) / np.pi
+        checks = [oracle, np.abs(kernel - oracle) / np.abs(oracle)]
     else:
-        rows = [(d, k, "", "") for d, k in zip(deltas, kernel)]
-    _write_blocks(out / "kernel.csv", ["delta", "kernel", "oracle", "rel_err"], [((), rows)])
+        checks = [[""] * args.n] * 2
+    header = ["delta", "kernel", "oracle", "rel_err"]
+    write_csv(out / "kernel.csv", header, [deltas, kernel, *checks])
     return 0
 
 

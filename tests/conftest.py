@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kgflow import GridSpec, load_scenario, make_gaussian_packet, superpose
 from kgflow._quad import _legendre_rule
 from kgflow.scenarios import build_state
 from kgflow.states import Lattice
+
+# property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline on a loaded machine
+settings.register_profile("kgflow", derandomize=True, database=None, deadline=None)
+settings.load_profile("kgflow")
 
 
 @pytest.fixture(scope="session")

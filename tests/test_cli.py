@@ -9,7 +9,8 @@ import pytest
 
 import kgflow
 from kgflow import CausalClass, Event, build_ensemble, load_scenario, make_final_outcome
-from kgflow.cli import _write_blocks, main
+from kgflow._csv import write_csv
+from kgflow.cli import main
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import Lattice
@@ -374,51 +375,88 @@ def test_usage_error_exit_code():
 
 
 def test_write_csv_matches_per_cell_join(tmp_path):
-    rows = [
-        (0.1, -0.0, float("inf"), float("-inf"), float("nan"), ""),
-        (np.float64(1 / 3), 7, np.int64(-2), True, 1e-300, "lightlike"),
-        ("", 2.5e17, np.float32(0.1), "timelike-forward", 5e-324, "x,y"),
-        (3, 1.0000000000000002, -1.7976931348623157e308, "", 1e22, ""),
-        (0.1, -0.0, float("inf"), float("-inf"), float("nan"), "null-vector"),
+    columns = [
+        [0.1, np.float64(1 / 3), 2.5e17, 1.0000000000000002, 0.1],
+        [-0.0, 7, np.int64(-2), True, 1e22],  # int and bool cells in a float column
+        [float("inf"), float("-inf"), float("nan"), 5e-324, -1.7976931348623157e308],
+        ["", "lightlike", "x,y", "100%", "timelike-forward"],
+        np.float32([0.1, 1e-30, -3.5, 1e30, 0.0]),
+        [3, -1, 0, 2**53, 12],
+        [1e-300, 1.7976931348623157e308, 2.2250738585072014e-308, -1e-310, 9.999999999999999e-5],
+        ["", "null-vector", "%.17g", "µ,ν", "%s"],  # non-ASCII cells are UTF-8
     ]
-    header = ["a", "b", "c", "d", "e", "f"]
-    kinds = {}  # one block per row kind, in order of first appearance
-    for row in rows:
-        kinds.setdefault(tuple(map(type, row)), []).append(row)
-    _write_blocks(tmp_path / "new.csv", header, [((), block) for block in kinds.values()])
-    # the per-cell writer the row formats replace
+    header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    write_csv(tmp_path / "new.csv", header, columns)
+    # the per-cell writer the array formatter replaces
     text = ",".join(header) + "\n" + "".join(
         ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n"
-        for block in kinds.values() for row in block
+        for row in zip(*columns)
     )
     assert (tmp_path / "new.csv").read_bytes() == text.encode("utf-8")
 
 
 def _per_row_csv(header, rows):
-    """The per-row writer the blocks replace: one %-format per row from its cell types."""
+    """A per-row writer: one %-format per row from its cell types."""
     return ",".join(header) + "\n" + "".join(
         ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) % tuple(row) + "\n"
         for row in rows
     )
 
 
-def test_write_blocks_matches_per_row_writer(tmp_path):
+def test_write_csv_matches_per_row_writer(tmp_path):
     header = ["id", "a", "b", "c"]
-    blocks = [
-        ((3,), [(0.1, -0.0, ""), (1 / 3, 2.5e17, "lightlike"), (float("nan"), 5e-324, "")]),
-        ((), [(7, "", np.float64(0.5), np.int64(-2))]),  # int, str and float cells
-        (("x%y",), [(1e-300, float("inf"), "a,b")]),  # a lead cell holding a %
-        ((np.int64(5),), []),  # an empty block writes nothing
-        ((True, 2.5), [(1.0000000000000002, "timelike-forward")] * 3),
-        ((12,), [(np.float32(0.1), -1.7976931348623157e308, "null-vector")]),
+    columns = [
+        [3, 3, np.int64(5), 12, 7],
+        [0.1, 1 / 3, float("nan"), np.float32(0.1), 1e-300],
+        [-0.0, 2.5e17, 5e-324, -1.7976931348623157e308, float("inf")],
+        ["", "lightlike", "a,b", "x%y", "timelike-forward"],
     ]
-    path = tmp_path / "blocks.csv"
-    _write_blocks(path, header, blocks)
-    rows = [lead + row for lead, block in blocks for row in block]
-    assert path.read_bytes() == _per_row_csv(header, rows).encode("utf-8")
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _per_row_csv(header, zip(*columns)).encode("utf-8")
+    # no rows: the header alone
+    write_csv(path, header, [[], [], [], np.array([], dtype=str)])
+    assert path.read_bytes() == b"id,a,b,c\n"
     # a file of a single row
-    _write_blocks(path, header, [((4,), [(0.25, "", 1e22)])])
-    assert path.read_bytes() == _per_row_csv(header, [(4, 0.25, "", 1e22)]).encode("utf-8")
+    write_csv(path, header, [[4], [0.25], [1e22], [""]])
+    assert path.read_bytes() == _per_row_csv(header, [(4, 0.25, 1e22, "")]).encode("utf-8")
+
+
+def _per_cell_csv(header, columns):
+    """The CSV bytes with every number written as '%.17g' % x and strings as they are."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return (",".join(header) + "\n" + "".join(
+        ",".join(c if isinstance(c, str) else "%.17g" % c for c in row) + "\n" for row in rows
+    )).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["density", "--scenario", "s1_negative_density", "--n-x", n, f"--t={t}"]
+          for n in ("401", "20001") for t in ("0", "-5", "5")),
+        ["trajectories", "--scenario", "s1_negative_density", "--max-steps", "300"],
+        ["trajectories", "--scenario", "s1_conditional", "--max-steps", "300",
+         "--seed=0,1,3", "--seed=0.1,0.5", "--seed=0.5,2,6"],
+        ["kernel", "--scenario", "single_rest", "--n", "60"],
+        ["kernel", "--scenario", "single_rest", "--mode", "nonrelativistic", "--n", "60"],
+    ],
+    ids=" ".join,
+)
+def test_csv_bytes_are_per_cell_percent_format(tmp_path, monkeypatch, argv):
+    """Each CLI table is written as formatting every cell with '%.17g' % x would write it."""
+    import kgflow.cli
+
+    written = []
+
+    def capture(path, header, columns):
+        written.append((path, header, columns))
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(kgflow.cli, "write_csv", capture)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    [(path, header, columns)] = written
+    assert path.read_bytes() == _per_cell_csv(header, columns)
 
 
 def test_density_csv_matches_grid_evaluation(tmp_path, s1_scenario, bundled_states):
