@@ -8,19 +8,21 @@ aligned with the previous tangent, so the traced line passes smoothly
 through density-sign reversals, where the field direction swings
 through spacelike orientations.
 
-All live lines of a call advance in lockstep, one field evaluation per
-RK4 stage, and a line that stops leaves the batch.  A field handle maps
-an Event whose t and x are equal-length arrays to a FourVector evaluated
-elementwise, row i belonging to seed i, a stopped line's row frozen at
-its last point; scalar components broadcast, so a constant field may
-return plain floats.  Each line comes back as a Trajectory of arrays,
-whose events and classes are built only when read.
+All lines of a call advance in lockstep, one field evaluation per RK4
+stage, and the batch keeps one row per seed for the whole call: a line
+that stops is a frozen row, held at its last accepted point.  A field
+handle maps an Event whose t and x are equal-length arrays to a
+FourVector evaluated elementwise, row i belonging to seed i; scalar
+components broadcast, so a constant field may return plain floats.
+Each line comes back as a Trajectory of arrays, whose events and
+classes are built only when read.
 
 The handles of standard_field and conditional_field are TableFields,
-whose field the tracer reads off Taylor jets of psi in (dt, dx) for the
-live lines' rows alone (_JetStages): jets centred on an exact phase table
-at the seed and at every m-th accepted point, and a polynomial in its
-offset from the centre at each RK4 stage and accepted point between.
+whose field the tracer reads off Taylor jets of psi in (dt, dx)
+(_JetStages): jets centred on an exact phase table at the seed and at
+every m-th accepted point, and a polynomial in its offset from the
+centre at each RK4 stage and accepted point between.  The points and
+stages read off jets are range-checked before trace_many returns.
 """
 
 from __future__ import annotations
@@ -100,10 +102,10 @@ class TableField:
     """A field handle whose field the tracer can also read off Taylor jets of its states.
 
     Calling it evaluates evaluate(t, x), so it keeps the field(e) protocol.
-    rows(seeds) gives, for the rows of the seed indices seeds in that order,
-    the weighted mode coefficients (S, rows or 1, K) of the S states whose
-    psi, d0 psi and d1 psi make the field, and a reader read(t, values) of
-    (j0, j1) from their values (rows, S, 3) at times t.
+    rows() gives the weighted mode coefficients (S, rows or 1, K) of the S
+    states whose psi, d0 psi and d1 psi make the field, row i serving seed
+    i, and a reader read(t, values) of the field (rows, 2), (j0, j1) per
+    row, from their values (rows, S, 3) at times t.
     """
 
     state: SpectralState
@@ -119,9 +121,9 @@ def standard_field(state: SpectralState) -> FieldHandle:
     coeffs = state._psi_dpsi_columns[None, None, :, 0]  # the weighted amplitudes
 
     def read(t, values):
-        return _current_from(*values[:, 0].T)
+        return np.column_stack(_current_from(*values[:, 0].T))
 
-    return TableField(state, lambda t, x: current_grid(state, t, x), lambda seeds: (coeffs, read))
+    return TableField(state, lambda t, x: current_grid(state, t, x), lambda: (coeffs, read))
 
 
 def conditional_field(
@@ -132,33 +134,33 @@ def conditional_field(
     A stacked outcome (make_final_outcome with an array of q) conditions row
     i of each event on outcome i, at cost linear in the number of rows; an
     event or a set of seeds needs one row per outcome (ValueError otherwise).
-    rows(seeds) slices arrays built once with the field, the backward states'
-    weighted amplitudes and <f|i> (a lone outcome's row serves every seed),
-    and checks the amplitude floor once per set of rows, not per evaluation.
+    The field pairs the weighted amplitudes of the initial and backward
+    states once (a lone outcome's row serves every seed), and rows() checks
+    the amplitude floor of every outcome once per trace, not per evaluation.
     """
     _require_same_grid(initial, outcome.backward_state)
     own = initial._psi_dpsi_columns[..., 0]  # the weighted amplitudes
     theirs = outcome.backward_state._psi_dpsi_columns[..., 0].T.reshape(-1, own.size)
+    coeffs = np.stack(np.broadcast_arrays(own, theirs))
     amplitudes = np.reshape(outcome.amplitude_fi, -1)
 
-    def rows(seeds):
-        pick = seeds if amplitudes.size > 1 else slice(None)
-        amp = amplitudes[pick]
-        a2 = _checked_probability(amp, amplitude_floor)
+    def rows():
+        a2 = _checked_probability(amplitudes, amplitude_floor)[:, None]
 
         def read(t, values):
             _require_before(outcome, t)
-            return tuple(w / a2 for w in _weighted_from(amp, _bilinear(values[:, 0], values[:, 1])))
+            w = _weighted_from(amplitudes, _bilinear(values[:, 0], values[:, 1]))
+            return np.column_stack(w) / a2
 
-        return np.stack(np.broadcast_arrays(own, theirs[pick])), read
+        return coeffs, read
 
     def evaluate(t, x):
         t, x = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
-        (coeffs, read), jets = rows(slice(None)), _Jets(initial, 0)  # each event a centre
+        (coeffs, read), jets = rows(), _Jets(initial, 0)  # each event a centre
         _require_row_count(coeffs, t.size)
         taylor = jets.centre(_phase_table(initial, t.ravel(), x.ravel()), coeffs)
         values = jets.at(taylor, np.zeros((t.size, 2)), 0)
-        return tuple(j.reshape(t.shape)[()] for j in read(t.ravel(), values))
+        return tuple(j.reshape(t.shape)[()] for j in read(t.ravel(), values).T)
 
     return TableField(initial, evaluate, rows)
 
@@ -241,19 +243,19 @@ class _Jets:
 
 
 class _JetStages:
-    """A TableField along the live lines, read off Taylor jets of its states.
+    """A TableField along every seed's row, read off Taylor jets of its states.
 
     The seed and every m-th accepted point after it, counted from the seed
-    so that no line depends on its batch, are centres: each takes an exact
-    phase table and from it the jets, off which the accepted points and RK4
-    stages up to the next centre are read (m from _jet_plan).
+    so that no line's centres depend on its batch, are centres: each takes
+    an exact phase table and from it the jets, off which the accepted points
+    and RK4 stages up to the next centre are read (m from _jet_plan).
     """
 
     def __init__(self, field: TableField, step: float, n: int):
-        self.state, self.rows = field.state, field.rows
+        self.state = field.state
         self.every, self.degrees = _jet_plan(self.state, step)
         self.jets = _Jets(self.state, self.degrees[-1])
-        self.coeffs, self.read = self.rows(slice(None))
+        self.coeffs, self.read = field.rows()
         _require_row_count(self.coeffs, n)
 
     def _centre(self, p):
@@ -261,8 +263,7 @@ class _JetStages:
         self.centres, self.taylor = p, self.jets.centre(table, self.coeffs)
 
     def _at(self, p, span):
-        values = self.jets.at(self.taylor, p - self.centres, self.degrees[span])
-        return np.column_stack(self.read(p[:, 0], values))
+        return self.read(p[:, 0], self.jets.at(self.taylor, p - self.centres, self.degrees[span]))
 
     def accept(self, pos, k):
         """The field at the accepted points pos, after k steps."""
@@ -279,40 +280,29 @@ class _JetStages:
             self._centre(p)
         return self._at(p, min(self.span + 1, self.every))
 
-    def keep(self, live, seeds):
-        """Drop the rows of stopped lines; seeds are the seed indices of the rest."""
-        self.centres, self.taylor = self.centres[live], self.taylor[live]
-        self.coeffs, self.read = self.rows(seeds)
-
 
 class _PlainStages:
-    """A plain callable along the live lines, called with every seed's row.
+    """A plain callable along the lines, called with every seed's row.
 
     Row i of each call is seed i, so an elementwise field needs no row
     bookkeeping; a stopped line's row stays at its last accepted point.
     Scalar components broadcast.
     """
 
-    def __init__(self, field: FieldHandle, n: int):
-        self.field, self.frozen, self.seeds = field, np.zeros((n, 2)), np.arange(n)
+    def __init__(self, field: FieldHandle):
+        self.field = field
 
     def _at(self, p):
-        full = self.frozen.copy()
-        full[self.seeds] = p
-        v, j = self.field(Event(full[:, 0], full[:, 1])), np.empty_like(full)
+        v, j = self.field(Event(p[:, 0], p[:, 1])), np.empty_like(p)
         j[:, 0], j[:, 1] = v.v0, v.v1
-        return j[self.seeds]
+        return j
 
     def accept(self, pos, k):
         self.pos = pos
-        self.frozen[self.seeds] = pos
         return self._at(pos)
 
     def near(self, d):
         return self._at(self.pos + d)
-
-    def keep(self, live, seeds):
-        self.seeds = seeds
 
 
 def trace(
@@ -344,10 +334,14 @@ def trace_many(
     step.  A line stops on box exit, node (|j| below node_floor, default
     1e-10 of the field scale at its seed), or after max_steps.
 
-    All live lines advance in lockstep, one field evaluation per stage;
-    a line that stops leaves the batch, and each step's results are
-    scattered back to the rows of their seeds.  A plain callable still
-    gets every seed's row, a stopped line's frozen at its last point.
+    All lines advance in lockstep, one field evaluation per stage, and
+    the batch keeps its shape until no line is live: a line that stops
+    is a frozen row, whose node floor becomes +inf, so its stages and
+    steps are zero and its row stays at its last accepted point, as a
+    plain callable sees it.  For a TableField the points and RK4 stages
+    read off jets are checked against the resolvable range on return
+    (DomainError): a stage lies within sqrt(2) step, in |x| + |t|, of
+    the point its step starts from.
     """
     if not 0 < step < np.inf:
         raise ValueError("step must be positive and finite")
@@ -363,7 +357,7 @@ def trace_many(
 
     n_seeds = len(pos)
     stages = (_JetStages(field, step, n_seeds) if isinstance(field, TableField)
-              else _PlainStages(field, n_seeds))
+              else _PlainStages(field))
 
     def direction(j, ref):
         # unit rows sign-aligned with ref, zero rows where |j| is at the floor
@@ -378,7 +372,7 @@ def trace_many(
     if np.any((scale <= floor) | (scale == 0.0)):
         raise NodeError(f"field magnitude {scale.min():.3e} at the seed is below the floor")
     tangent = j / scale[:, None]
-    rows = np.arange(n_seeds)  # the seed index of each live line
+    live = np.ones(n_seeds, dtype=bool)
     n_steps = np.full(n_seeds, max_steps)
     stop = np.full(n_seeds, "max-steps", dtype=object)
     path, densities, deltas = [pos], [j[:, 0]], []
@@ -391,33 +385,32 @@ def trace_many(
         delta = (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         norm = np.hypot(delta[:, 0], delta[:, 1])
         new = pos + delta
-        # a zero delta means the stages cancelled pairwise; only possible hard against a node
+        # a zero delta means the stages cancelled pairwise; only possible hard against a node.
+        # A frozen row is never ok: its floor is +inf
         ok = ok1 & ok2 & ok3 & ok4 & (norm > 0.0)
-        live = ok & ((lo <= new) & (new <= hi)).all(axis=1)
-        step_deltas = np.zeros((n_seeds, 2))
-        step_deltas[rows] = delta
-        deltas.append(step_deltas)
-        if not live.all():
-            ended = rows[~live]
-            stop[ended] = np.where(ok[~live], "box-exit", "node")
+        now = ok & ((lo <= new) & (new <= hi)).all(axis=1)
+        ended, live = live & ~now, now
+        deltas.append(delta)
+        if ended.any():
+            stop[ended] = np.where(ok[ended], "box-exit", "node")
             n_steps[ended] = k
-            rows = rows[live]
-            if not rows.size:
+            if not live.any():
                 break
-            new, delta, norm = new[live], delta[live], norm[live]
-            floor = floor[live]
-            stages.keep(live, rows)
+            floor[ended] = np.inf
+            new[ended] = pos[ended]
         pos = new
         j = stages.accept(pos, k + 1)
-        tangent = delta / norm[:, None]
-        path.append(path[-1].copy())
-        path[-1][rows] = pos
-        densities.append(densities[-1].copy())
-        densities[-1][rows] = j[:, 0]
+        tangent = delta / np.where(live, norm, np.inf)[:, None]  # zero on frozen rows
+        path.append(pos)
+        densities.append(j[:, 0])
 
     path, densities, deltas = np.stack(path), np.stack(densities), np.stack(deltas)
-    if isinstance(field, TableField):  # the points read off jets took no table's range check
-        _require_resolvable(field.state, path[..., 0], path[..., 1])
+    if isinstance(field, TableField):  # the points and stages read off jets took no table's check
+        # every point but a max-steps line's last starts a step, whose stages lie within
+        # sqrt(2) step of it in |x| + |t|; a frozen row's stages sit on its point
+        margin = np.full(path.shape[:2], math.sqrt(2) * step)
+        margin[-1, stop == "max-steps"] = 0.0
+        _require_resolvable(field.state, np.abs(path[..., 0]) + margin, path[..., 1])
     arcs = np.cumsum(np.hypot(deltas[..., 0], deltas[..., 1]), axis=0)
     flips = densities[:-1] * densities[1:] < 0
     codes = _class_codes(deltas[..., 0], deltas[..., 1])

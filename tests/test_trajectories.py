@@ -307,12 +307,12 @@ def test_standard_field_reads_table_as_current_grid(bundled_states):
     # the field's coefficient rows and reader, on degree-0 jets of the phase
     # table (psi, d0 psi and d1 psi themselves), give current_grid to rounding
     state = bundled_states["s1_negative_density"]
-    coeffs, read = standard_field(state).rows(np.arange(33))
+    coeffs, read = standard_field(state).rows()
     rng = np.random.default_rng(7)
     t, x = rng.uniform(-5.0, 5.0, 33), rng.uniform(-14.0, 14.0, 33)
     jets = _Jets(state, 0)
     values = jets.at(jets.centre(_phase_table(state, t, x), coeffs), np.zeros((33, 2)), 0)
-    for got, ref in zip(read(t, values), current_grid(state, t, x)):
+    for got, ref in zip(read(t, values).T, current_grid(state, t, x)):
         assert got.shape == ref.shape == (33,)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -366,7 +366,7 @@ def test_tables_rotate_between_exact_anchors(bundled_states, monkeypatch):
     assert _jet_plan(state, 0.4)[0] == 0 < _jet_plan(state, 0.1)[0] < _jet_plan(state, 0.02)[0]
 
 
-def test_stopped_lines_leave_the_batch(bundled_states, monkeypatch):
+def test_stopped_lines_stay_in_the_batch_as_frozen_rows(bundled_states, monkeypatch):
     # lines that stop at different steps: a node, two box exits and three
     # max-steps lines of the standard field, then a stacked conditional field
     standard = standard_field(bundled_states["s1_negative_density"])
@@ -392,11 +392,12 @@ def test_stopped_lines_leave_the_batch(bundled_states, monkeypatch):
         steps = np.array([len(line.codes) for line in lines])
         assert {line.stop_reason for line in lines} == reasons
         assert len(set(steps[stopped])) == sum(stopped) >= 2
-        # a line takes one exact table row at its seed and at every m-th
-        # accepted point after it, and none once it has stopped
+        # the batch keeps one row per seed until its last line stops: each jet
+        # centre, the seed and every m-th accepted point after it, builds a
+        # table of every seed's row, a stopped line's frozen at its last point
         every = _jet_plan(field.state, 0.02)[0]
         assert every > 1
-        assert sum(built) == (1 + steps // every).sum()
+        assert built == [len(seeds)] * (1 + steps.max() // every)
         for one, seed, line in zip(alone, seeds, lines):
             assert_same_line(line, trace(one, seed, 0.02, n_steps, box, node_floor=floor))
 
@@ -461,7 +462,7 @@ def test_jets_match_phase_table_over_the_radius(bundled_states, name, step):
     rng = np.random.default_rng(11)
     n = 300
     t, x = rng.uniform(-3.0, 3.0, n), rng.uniform(-10.0, 10.0, n)
-    coeffs, _ = standard_field(state).rows(np.arange(n))
+    coeffs, _ = standard_field(state).rows()
     taylor = jets.centre(_phase_table(state, t, x), coeffs)
     fastest = np.argmax(rate)
     edge = np.array([-state.energies[fastest], state.momenta[fastest]]) / rate[fastest]
@@ -552,10 +553,22 @@ def test_accepted_points_past_the_resolvable_range_raise():
             trace_many(field, [seed], 0.02, n_steps, box)
 
 
+def test_rk4_stages_past_the_resolvable_range_raise():
+    # a seed 0.008 inside the bound: the first step leaves the box, so no
+    # accepted point passes the bound, but its stages, read off the seed's
+    # jets, reach |x| + |t| up to about bound + 0.02
+    grid = GridSpec(-1.6, 4.6)
+    bound = grid.resolvable_range
+    field = standard_field(make_gaussian_packet(1.0, 3.0, 0.15, bound - 2.0, grid))
+    box = Box(-1.0, 1.0, 0.0, bound - 0.001)
+    with pytest.raises(DomainError, match="resolvable range"):
+        trace_many(field, [Event(0.0, bound - 0.008)], 0.02, 50, box)
+
+
 def test_stopped_conditional_lines_build_no_state(bundled_states, monkeypatch):
-    # nine lines of a stacked fan leave the box at different steps; each stop
-    # slices the outcome rows off arrays the field built, so trace_many
-    # constructs no SpectralState or FinalOutcome
+    # nine lines of a stacked fan leave the box at different steps; the field
+    # pairs its outcome rows once, and a stopped line stays in the batch as a
+    # frozen row, so trace_many constructs no SpectralState or FinalOutcome
     state = bundled_states["s1_conditional"]
     qs = np.linspace(-2.0, 5.0, 9)
     seeds = [Event(1.9 - 0.2 * i, -4.0 + i) for i in range(9)]
