@@ -2,7 +2,7 @@
 
 CPython formats a 17-digit %g with Gay's correctly rounded dtoa, whose
 floating-point quick path stops at 14 digits, so every cell takes the
-big-integer path.  format_g17 reaches the same bytes in four steps:
+big-integer path.  format_g17 reaches the same bytes in five steps:
 
 - Digits and exponent.  The decimal exponent e of |x| is
   floor(log10 |x|), and the 17-digit integer D is round(|x| 10^k) with
@@ -12,13 +12,19 @@ big-integer path.  format_g17 reaches the same bytes in four steps:
   and 10^17 are exact as well and rounding is monotonic, so a product
   in [10^16, 10^17) certifies e; one that rounded up onto 10^16 gives
   the digits its exact value carries to.
+- Rounding.  The integer part W of the product is exact, and so is
+  W + 1/2 while longdouble has at least 57 fraction bits (W < 10^17 <
+  2^57).  Rounding is monotonic, so a product above W + 1/2 comes from an
+  exact value above it and one below from an exact value below: D is W
+  or W + 1 on the product alone.  Only a product equal to W + 1/2 may
+  come from either side, or from an exact tie.
 - Fallback.  A cell is formatted by '%' itself when the product is
   outside [10^16, 10^17) (log10 rounded across an integer, which only
-  happens within an ulp or two of a power of ten), when its fraction
-  lies within _TOL of 1/2, when k is outside [0, _K_MAX], and when x is
-  zero or not finite.  _TOL is twice the product's error bound.  Where
-  longdouble is no wider than float64, _TOL exceeds 1/2 and every cell
-  falls back.
+  happens within an ulp or two of a power of ten), when it equals
+  W + 1/2, when k is outside [0, _K_MAX], and when x is zero or not
+  finite: about 0.3% of density.csv's cells.  Where longdouble has
+  fewer than 57 fraction bits, _ARRAY_PATH is off and every cell falls
+  back.
 - Layout.  %g writes fixed notation for -4 <= exponent < 17 and the
   exponent form otherwise, with trailing zeros stripped.  _TEMPLATES
   holds one row of byte slots per (sign, exponent, significant digits),
@@ -36,8 +42,8 @@ _LONG = np.finfo(np.longdouble)
 _K_MAX = max(k for k in range(64) if 5**k < 2 ** (_LONG.nmant + 1))
 _POW10 = np.ones(_K_MAX + 1, np.longdouble)
 np.cumprod(np.full(_K_MAX, 10, np.longdouble), out=_POW10[1:])
-# twice the largest error of a product below 10^17
-_TOL = 1e17 * float(_LONG.eps)
+# W + 1/2 is exact for every integer part W < 10^17 < 2^57
+_ARRAY_PATH = _LONG.nmant >= 57
 
 _WIDTH = 25  # the longest cell, '-1.2345678901234567e-308', and its separator
 _LITERALS = b"-.e+0123456789\0"
@@ -85,7 +91,7 @@ def format_g17(values, seps: bytes):
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     n = v.size
-    fast = np.isfinite(v) & (v != 0)
+    fast = np.isfinite(v) & (v != 0) & _ARRAY_PATH
     a = np.where(fast, np.abs(v), 1.0)
     k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, _K_MAX)
     a = a.astype(np.longdouble)
@@ -93,8 +99,8 @@ def format_g17(values, seps: bytes):
     fast &= (p >= 1e16) & (p < 1e17)
     p[~fast] = 1e16
     whole = p.astype(np.int64)
-    frac = (p - whole).astype(np.float64)
-    fast &= np.abs(frac - 0.5) > _TOL
+    frac = p - whole
+    fast &= frac != 0.5
     d = whole + (frac > 0.5)
     exp = 16 - k
     carry = d == 10**17
@@ -106,8 +112,9 @@ def format_g17(values, seps: bytes):
     src = np.empty((n, _ROW), np.uint8)
     words = src.view(np.uint32)
     for j in range(4, 0, -1):
-        d, rest = np.divmod(d, 10000)
-        words[:, j] = _QUADS[rest]
+        rest = d
+        d = rest // 10000
+        words[:, j] = _QUADS[rest - 10000 * d]
     words[:, 0] = _QUADS[d]
     src.reshape(-1, len(seps), _ROW)[:, :, _SEP] = np.frombuffer(seps, np.uint8)
     src[:, _SEP + 1 :] = np.frombuffer(_LITERALS, np.uint8)
@@ -152,10 +159,13 @@ def write_csv(path, header, columns):
     # separator can sit after its column's widest string
     width = max([_WIDTH] + [text.shape[1] + 1 for text in texts.values()])
     rows = max(1, _BLOCK // len(columns))
+    buffer = np.empty((rows, len(numeric)))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, len(columns[0]), rows):
-            block = np.column_stack([columns[j][lo : lo + rows] for j in numeric])
+            block = buffer[: min(rows, len(columns[0]) - lo)]
+            for c, j in enumerate(numeric):
+                block[:, c] = columns[j][lo : lo + rows]
             cells = format_g17(block, bytes(seps[j] for j in numeric))
             if texts:
                 numbers = cells.reshape(len(block), len(numeric), _WIDTH)

@@ -30,15 +30,17 @@ import numpy as np
 from ._quad import trapezoid_weights
 from .current import current_grid
 from .errors import CausalOrderError, CoverageError, ZeroProbabilityOutcomeError
-from .newton_wigner import nw_amplitude_grid, nw_density_grid
+from .newton_wigner import _nw_matrix, nw_density_grid
 from .states import (
     INV_SQRT_2PI,
     Event,
     FourVector,
     SpectralState,
+    _latest_time,
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
+    _table_product,
 )
 
 COVERAGE_TOL = 1e-4
@@ -90,11 +92,13 @@ def _outcome_states(template: SpectralState, qs, T: float):
     The amplitudes <p|f> = (2 pi)^-1/2 sqrt(p0) exp(-i (p q - p0 T)), one
     row per q, are the conjugated phase table: position amplitudes at
     t = T concentrated near x = q.  Against the template, which is the
-    prepared state, <f|i> is its Newton-Wigner amplitude at (q, T).  A q
-    with |q| + |T| past the grid's range, or a NaN q, raises DomainError.
+    prepared state, <f|i> is its Newton-Wigner amplitude at (q, T), read
+    off the same table.  A q with |q| + |T| past the grid's range, or a NaN
+    q, raises DomainError.
     """
-    b = INV_SQRT_2PI * np.sqrt(template.energies) * np.conj(_phase_table(template, T, qs))
-    return replace(template, amplitudes=b), nw_amplitude_grid(template, qs, T)[()]
+    table = _phase_table(template, T, qs)
+    b = INV_SQRT_2PI * np.sqrt(template.energies) * np.conj(table)
+    return replace(template, amplitudes=b), _table_product(table, _nw_matrix(template))[()]
 
 
 def make_final_outcome(q, T: float, template: SpectralState) -> FinalOutcome:
@@ -129,9 +133,12 @@ def _bilinear_grid(initial: SpectralState, f, t: float, xs, columns: int = 3):
     return tuple(e.reshape(shape) for e in _bilinear(out[..., :1, :], out[..., 1:, :]))
 
 
-def _require_before(f, t):
-    """CausalOrderError unless every evaluation time in t is at or before f's time T."""
-    t_last = np.asarray(t).max()
+def _require_before(f, t, xs=None):
+    """CausalOrderError unless every evaluation time is at or before f's time T.
+
+    The times are t at positions xs (states._latest_time); without xs, t alone.
+    """
+    t_last = _latest_time(t, xs)
     if t_last > f.T:
         raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
 
@@ -183,13 +190,13 @@ def conditional_current(
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
     """Vectorized pole-free j^a(x|f) |<f|i>|^2; a stacked f adds an outcome axis."""
-    _require_before(f, t)
+    _require_before(f, t, xs)
     return _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs))
 
 
 def weighted_density_grid(initial: SpectralState, f, t: float, xs):
     """The time component of weighted_integrand_grid alone, from psi and d0 columns only."""
-    _require_before(f, t)
+    _require_before(f, t, xs)
     (w0,) = _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs, columns=2))
     return w0
 

@@ -55,10 +55,14 @@ def nw_amplitude(state: SpectralState, q: float, t: float) -> complex:
     return complex(nw_amplitude_grid(state, q, t))
 
 
+def _nw_matrix(state: SpectralState):
+    """Kernel matrix of the Newton-Wigner amplitude: sqrt(p0) a, weighted."""
+    return _kernel_matrix(state, (np.sqrt(state.energies) * state.amplitudes).T)
+
+
 def nw_amplitude_grid(state: SpectralState, qs, t: float):
     """Vectorized Newton-Wigner amplitude over an array of q values or a Lattice."""
-    coeffs = (np.sqrt(state.energies) * state.amplitudes).T
-    return _plane_wave_sum(state, t, qs, _kernel_matrix(state, coeffs))
+    return _plane_wave_sum(state, t, qs, _nw_matrix(state))
 
 
 def nw_density(state: SpectralState, q: float, t: float) -> float:

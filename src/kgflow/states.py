@@ -16,8 +16,12 @@ time t times a coefficient matrix built from the amplitudes with the
 quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`).  The
 tracer builds exact tables only at its jet centres and reads the points
 between off Taylor jets of psi (trajectories._Jets); the public
-evaluators take positions, never a table.  A table, and so any
-evaluation, raises DomainError past the grid's resolvable range.
+evaluators take positions, never a table.  Two factored forms of the
+positions keep the table small: a Lattice (a uniform x-grid as coarse rows
+plus fine offsets) and a _Stencil (events, each at the same spacetime
+offsets, as validation's finite differences ask); each builds one table
+per factor, since exp(-i(p0 t - p x)) splits over sums.  A table, and so
+any evaluation, raises DomainError past the grid's resolvable range.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -269,6 +273,29 @@ class Lattice(NamedTuple):
         return self.n
 
 
+class _Stencil(NamedTuple):
+    """Every event (t, x) shifted by every offset (dt[j], dx[j]), offset-major.
+
+    The events' times t are the evaluation's t argument, as for an array
+    of positions; x, dt and dx are 1-d.  Point j n + i is the event i
+    shifted by offset j, at (t[i] + dt[j], x[i] + dx[j]).
+    """
+
+    x: np.ndarray
+    dt: np.ndarray
+    dx: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of points, which is what np.size reports for a _Stencil."""
+        return self.dt.size * self.x.size
+
+
+def _latest_time(t, xs) -> float:
+    """The latest evaluation time: of t at positions xs, or at a _Stencil xs of its points."""
+    return np.max(t) + np.max(xs.dt) if isinstance(xs, _Stencil) else np.max(t)
+
+
 def _require_resolvable(state: SpectralState, t, xs):
     """DomainError unless |x| + |t| is within the state's resolvable range at every position."""
     reach, bound = np.abs(xs) + np.abs(t), state._resolvable_range
@@ -298,6 +325,12 @@ def _phase_table_core(state: SpectralState, t, xs):
     return table
 
 
+def _table_product(table, matrix):
+    """A phase table (..., K) times a kernel matrix (K, ...), shaped as _plane_wave_sum returns."""
+    flat = matrix.reshape(table.shape[-1], -1)
+    return (table @ flat).reshape(table.shape[:-1] + matrix.shape[1:])
+
+
 def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
     """The evaluation kernel: sum_k <x|p_k> c_k at time t for every x, as table @ matrix.
 
@@ -309,30 +342,49 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
 
     xs may instead be a Lattice at a scalar t; the result then has n rows.
     exp(i p (c + f)) = exp(i p c) exp(i p f) splits the table into an
-    (n_a, K) coarse table A and an (n_b, K) fine table B: (n_a + n_b) K
-    exponentials instead of n_a n_b K.  A narrow matrix (m < n_b) takes
-    the fold: A goes into the matrix (n_a K m multiplies) and one
-    product B @ C builds no n x K table.  A wide one takes the product
-    table A[a] B[b], n K complex multiplies, times the matrix.
+    (n_a, K) coarse table A and an (n_b, K) fine table B, and
+    _factored_product takes it from there.
+
+    xs may also be a _Stencil of n events at m offsets, the events' times
+    t broadcasting against their positions; the result then has m n rows,
+    offset-major.  exp(-i(p0 (t + dt) - p (x + dx))) splits the same way,
+    into the (m, K) offset table as A and the (n, K) event table as B.
     """
     k = state.momenta.size
-    flat = matrix.reshape(k, -1)
-    if not isinstance(xs, Lattice):
-        table = _phase_table(state, t, xs)
-        return (table @ flat).reshape(table.shape[:-1] + matrix.shape[1:])
-    coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
-    if np.ndim(t) or not 0 < xs.n <= coarse.size * fine.size:
-        raise ValueError("the lattice form takes a scalar t and at most n_a n_b positions, n >= 1")
-    _require_resolvable(state, t, (coarse[:, None] + fine).ravel()[: xs.n])
-    table = _phase_table_core(state, t, coarse)
-    fine_table = _phase_table_core(state, 0.0, fine)
-    if flat.shape[1] >= fine.size:
-        out = (table[:, None, :] * fine_table[None, :, :]).reshape(-1, k)[: xs.n] @ flat
+    if isinstance(xs, _Stencil):
+        x, dt, dx = (np.asarray(a, dtype=float) for a in xs)
+        _require_resolvable(state, t + dt[:, None], x + dx[:, None])
+        tables = _phase_table_core(state, dt, dx), _phase_table_core(state, t, x)
+        n = xs.size
+    elif isinstance(xs, Lattice):
+        coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
+        if np.ndim(t) or not 0 < xs.n <= coarse.size * fine.size:
+            raise ValueError(
+                "the lattice form takes a scalar t and at most n_a n_b positions, n >= 1"
+            )
+        _require_resolvable(state, t, (coarse[:, None] + fine).ravel()[: xs.n])
+        tables = _phase_table_core(state, t, coarse), _phase_table_core(state, 0.0, fine)
+        n = xs.n
     else:
-        folded = table.T[:, :, None] * flat[:, None, :]  # (K, n_a, m)
-        out = (fine_table @ folded.reshape(k, -1)).reshape(fine.size, coarse.size, -1)
-        out = out.transpose(1, 0, 2).reshape(-1, flat.shape[1])[: xs.n]
-    return out.reshape((xs.n,) + matrix.shape[1:])
+        return _table_product(_phase_table(state, t, xs), matrix)
+    return _factored_product(*tables, matrix.reshape(k, -1), n).reshape((n,) + matrix.shape[1:])
+
+
+def _factored_product(a_table, b_table, flat, n: int):
+    """Rows a n_b + b < n of the table A[a] B[b] times flat (K, m), from A (n_a, K) and B (n_b, K).
+
+    (n_a + n_b) K exponentials build A and B instead of n_a n_b K.  A
+    narrow matrix (m < n_b) takes the fold: A goes into the matrix (n_a K m
+    multiplies) and one product B @ C builds no n x K table.  A wide one
+    takes the product table A[a] B[b], n K complex multiplies, times the
+    matrix.
+    """
+    k = flat.shape[0]
+    if flat.shape[1] >= b_table.shape[0]:
+        return (a_table[:, None, :] * b_table[None, :, :]).reshape(-1, k)[:n] @ flat
+    folded = np.multiply(a_table.T[:, :, None], flat[:, None, :], order="C")  # (K, n_a, m)
+    out = (b_table @ folded.reshape(k, -1)).reshape(b_table.shape[0], a_table.shape[0], -1)
+    return out.transpose(1, 0, 2).reshape(-1, flat.shape[1])[:n]
 
 
 def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:

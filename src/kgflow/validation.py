@@ -24,7 +24,7 @@ from .current import central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, truncation_defect
-from .states import Event, uniform_lattice
+from .states import Event, _Stencil, uniform_lattice
 
 TOLERANCES = {
     "momentum_truncation": 1e-8,
@@ -60,8 +60,8 @@ def _median(values) -> float:
 def _continuity_scan(j_fn, events, length_scale: float, h: float = 1e-3):
     """Worst entrywise extrapolated divergence over max|j|/length, plus order ratios.
 
-    One j_fn(t, x) call takes every event at once, stacked with the eight
-    stencil offsets of richardson_divergence, and returns rows per event.
+    One j_fn(t, stencil) call takes every event at once, each at the
+    eight offsets of richardson_divergence, and returns rows per point.
     """
     t, x = np.array([(e.t, e.x) for e in events], dtype=float).T
     # the events themselves, then the points central_divergence asks for, in its order,
@@ -71,8 +71,7 @@ def _continuity_scan(j_fn, events, length_scale: float, h: float = 1e-3):
         offsets += [(step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)]
     dt, dx = np.array(offsets).T
     j0, j1 = (
-        c.reshape((len(offsets), t.size) + c.shape[1:])
-        for c in j_fn((t + dt[:, None]).ravel(), (x + dx[:, None]).ravel())
+        c.reshape((len(offsets), t.size) + c.shape[1:]) for c in j_fn(t, _Stencil(x, dt, dx))
     )
     j_max = np.max(np.hypot(j0[0], j1[0]), axis=0)
     # richardson_divergence takes its eight points from the stacked rows, in order

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kgflow import (
+    CausalOrderError,
     DegenerateStateError,
     DomainError,
     Event,
@@ -17,6 +18,7 @@ from kgflow import (
     superpose,
 )
 from kgflow._quad import gauss_panels
+from kgflow.conditional import conditional_current_grid
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import (
@@ -25,6 +27,7 @@ from kgflow.states import (
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
+    _Stencil,
     psi_grid,
     uniform_lattice,
 )
@@ -307,6 +310,45 @@ def test_lattice_kernel_matches_array_path(s1_state, n, m):
         assert lattice.shape == direct.shape == (n, m)
         peak = np.abs(direct).max(axis=0)
         assert np.all(np.abs(lattice - direct).max(axis=0) <= 1e-13 * peak)
+
+
+def _stencil_points(t, stencil):
+    """The stencil's points as flat (times, positions), offset-major."""
+    t, x, dt, dx = np.broadcast_to(t, stencil.x.shape), stencil.x, stencil.dt, stencil.dx
+    return (t + dt[:, None]).ravel(), (x + dx[:, None]).ravel()
+
+
+@pytest.mark.parametrize("t", [np.array([-1.0, 0.0, 0.5, 1.5, 1.9]), 0.7])
+def test_stencil_matches_array_path(s1_state, t):
+    # Richardson-sized offsets and two wide ones, about events across the packets
+    stencil = _Stencil(np.array([-4.0, 0.3, 2.0, 6.0, -0.5]), np.array([0.0, 1e-3, 0.0, 0.3, -0.8]),
+                       np.array([0.0, 0.0, -5e-4, -0.7, 1.1]))
+    ts, xs = _stencil_points(t, stencil)
+    assert np.size(stencil) == stencil.size == ts.size == 25
+    outcome = make_final_outcome(np.linspace(-2.0, 4.0, 5), 3.0, s1_state)
+    for evaluate, shape in ((current_grid, (25,)), (
+            lambda s, t, xs: conditional_current_grid(s, outcome, t, xs), (25, 5))):
+        for got, ref in zip(evaluate(s1_state, t, stencil), evaluate(s1_state, ts, xs)):
+            assert got.shape == ref.shape == shape
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
+
+
+def test_stencil_checks_every_point(s1_state):
+    outcome = make_final_outcome(np.array([0.0, 1.0]), 2.0, s1_state)
+    t, x = np.array([1.9, 0.0]), np.array([80.0, -1.0])
+    # every point lies within the resolvable range of 83.9 and at or before T = 2,
+    # though the largest |x|, |dx|, |t| and |dt| add up past the range
+    inside = _Stencil(x, np.array([0.0, 0.05, -0.3]), np.array([0.0, -5.0, 2.0]))
+    assert 80.0 + 5.0 + 1.9 + 0.3 > 83.9
+    current_grid(s1_state, t, inside)
+    conditional_current_grid(s1_state, outcome, t, inside)
+    # only an offset's point passes the range: x = 80 + 4.5 at t = 1.9
+    with pytest.raises(DomainError, match="beyond resolvable range 83.9"):
+        current_grid(s1_state, t, _Stencil(x, np.zeros(2), np.array([0.0, 4.5])))
+    # only an offset's point passes T: t = 1.9 + 0.2
+    late = _Stencil(np.array([0.0, -1.0]), np.array([0.0, 0.2]), np.zeros(2))
+    with pytest.raises(CausalOrderError, match="after measurement time 2.0"):
+        conditional_current_grid(s1_state, outcome, t, late)
 
 
 def test_lattice_kernel_gauss_panels(s1_state):
