@@ -69,17 +69,23 @@ def density(state: SpectralState, e: Event) -> float:
     return current(state, e).v0
 
 
+# the central difference's points (dt, dx) about an event per unit step, in _divergence's order
+_DIVERGENCE_OFFSETS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+
+
+def _divergence(j0, j1, h: float):
+    """d_t j0 + d_x j1 at step h from j0[r], j1[r], the current at _DIVERGENCE_OFFSETS[r]."""
+    return (j0[0] - j0[1]) / (2 * h) + (j1[2] - j1[3]) / (2 * h)
+
+
 def central_divergence(j_fn, e: Event, h: float):
     """Central-difference d_t j0 + d_x j1 at e from j_fn(t, x) -> (j0, j1).
 
     Second order in h; elementwise in whatever j_fn returns (a batch of
     currents, one per outcome, is differenced in the same four calls).
     """
-    j0p, _ = j_fn(e.t + h, e.x)
-    j0m, _ = j_fn(e.t - h, e.x)
-    _, j1p = j_fn(e.t, e.x + h)
-    _, j1m = j_fn(e.t, e.x - h)
-    return (j0p - j0m) / (2 * h) + (j1p - j1m) / (2 * h)
+    j0, j1 = zip(*(j_fn(e.t + dt * h, e.x + dx * h) for dt, dx in _DIVERGENCE_OFFSETS))
+    return _divergence(j0, j1, h)
 
 
 def continuity_residual(state: SpectralState, e: Event, h: float) -> float:

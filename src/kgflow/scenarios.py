@@ -43,6 +43,11 @@ class PacketSpec:
     def coeff(self) -> complex:
         return complex(self.coeff_re, self.coeff_im)
 
+    @property
+    def spread(self) -> float:
+        """Seven spatial standard deviations, 7 / (2 p_width): where the packet's mass ends."""
+        return 7.0 / (2.0 * self.p_width)
+
 
 @dataclass(frozen=True)
 class FinalSpec:
@@ -181,6 +186,20 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             f"final outcome range [{final.q_lo:g}, {final.q_hi:g}] at T = {final.T:g} "
             f"exceeds the grid's resolvable range {bound:.1f}"
         )
+
+    # a packet's carrier exp(-i p x_center) measures its sum's reach from x_center, and
+    # its mass spreads about that
+    spans = [("box", box.x_lo, box.x_hi, max(abs(box.t_lo), abs(box.t_hi)))]
+    if final is not None:
+        spans.append(("final outcome", final.q_lo, final.q_hi, abs(final.T)))
+    for i, pk in enumerate(packets):
+        for what, lo, hi, t in spans:
+            reach = max(abs(lo - pk.x_center), abs(hi - pk.x_center)) + t + pk.spread
+            if reach > bound:
+                raise ScenarioError(
+                    f"packets[{i}]: {what} reach |x - x_center| + |t| + 7/(2 p_width) = "
+                    f"{reach:g} exceeds the grid's resolvable range {bound:.1f}"
+                )
 
     return Scenario(
         name=name, mass=top["mass"], packets=tuple(packets), grid=grid, box=box, final=final

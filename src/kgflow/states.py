@@ -16,12 +16,12 @@ time t times a coefficient matrix built from the amplitudes with the
 quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`).  The
 tracer builds exact tables only at its jet centres and reads the points
 between off Taylor jets of psi (trajectories._Jets); the public
-evaluators take positions, never a table.  Two factored forms of the
-positions keep the table small: a Lattice (a uniform x-grid as coarse rows
-plus fine offsets) and a _Stencil (events, each at the same spacetime
-offsets, as validation's finite differences ask); each builds one table
-per factor, since exp(-i(p0 t - p x)) splits over sums.  A table, and so
-any evaluation, raises DomainError past the grid's resolvable range.
+evaluators take positions, never a table.  One factored form of the
+positions keeps the table small: a Lattice, events each shifted by the
+same spacetime offsets (a uniform x-grid, or validation's finite
+differences), builds one table for the events and one for the offsets,
+since exp(-i(p0 t - p x)) splits over sums.  A table, and so any
+evaluation, raises DomainError past the grid's resolvable range.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -261,39 +261,41 @@ def inner(a: SpectralState, b: SpectralState) -> complex:
 
 
 class Lattice(NamedTuple):
-    """The first n positions of coarse[:, None] + fine[None, :], flattened row-major."""
+    """The first n points (t + dt[j], x[i] + dx[j]) of events x at time t, offset-major.
 
-    coarse: np.ndarray
-    fine: np.ndarray
-    n: int
-
-    @property
-    def size(self) -> int:
-        """Number of positions, which is what np.size reports for a Lattice."""
-        return self.n
-
-
-class _Stencil(NamedTuple):
-    """Every event (t, x) shifted by every offset (dt[j], dx[j]), offset-major.
-
-    The events' times t are the evaluation's t argument, as for an array
-    of positions; x, dt and dx are 1-d.  Point j n + i is the event i
-    shifted by offset j, at (t[i] + dt[j], x[i] + dx[j]).
+    Point j x.size + i is event i shifted by offset j; x, dt and dx are
+    1-d arrays and t, the evaluation's t, is a scalar or one per event.
     """
 
     x: np.ndarray
     dt: np.ndarray
     dx: np.ndarray
+    n: int
 
     @property
     def size(self) -> int:
-        """Number of points, which is what np.size reports for a _Stencil."""
-        return self.dt.size * self.x.size
+        """Number of points, which is what np.size reports for a Lattice."""
+        return self.n
+
+
+def _points(t, xs):
+    """The evaluation's flat (times, positions): a Lattice's n points, or t and xs as given."""
+    if not isinstance(xs, Lattice):
+        return t, xs
+    x, dt, dx, n = xs
+    if np.ndim(t) and np.shape(t) != x.shape:
+        raise ValueError("a lattice takes a scalar t or one t per event")
+    if not 0 < n <= dt.size * x.size:
+        raise ValueError("a lattice holds at most len(dt) len(x) points, and n >= 1")
+    positions = x + dx[:, None]
+    times = np.empty_like(positions)
+    times[:] = t + dt[:, None]  # cheaper than np.broadcast_arrays at validate's sizes
+    return times.ravel()[:n], positions.ravel()[:n]
 
 
 def _latest_time(t, xs) -> float:
-    """The latest evaluation time: of t at positions xs, or at a _Stencil xs of its points."""
-    return np.max(t) + np.max(xs.dt) if isinstance(xs, _Stencil) else np.max(t)
+    """The latest evaluation time of t at positions xs or at a Lattice xs."""
+    return np.max(_points(t, xs)[0])
 
 
 def _require_resolvable(state: SpectralState, t, xs):
@@ -340,34 +342,20 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
     against xs (one time per position).  The (n_x, K) phase table is built
     in place once and multiplies the (K, m) matrix.
 
-    xs may instead be a Lattice at a scalar t; the result then has n rows.
-    exp(i p (c + f)) = exp(i p c) exp(i p f) splits the table into an
-    (n_a, K) coarse table A and an (n_b, K) fine table B, and
-    _factored_product takes it from there.
-
-    xs may also be a _Stencil of n events at m offsets, the events' times
-    t broadcasting against their positions; the result then has m n rows,
-    offset-major.  exp(-i(p0 (t + dt) - p (x + dx))) splits the same way,
-    into the (m, K) offset table as A and the (n, K) event table as B.
+    xs may instead be a Lattice of events at m offsets; the result then
+    has its n points as rows.  exp(-i(p0 (t + dt) - p (x + dx))) splits
+    into an (m, K) offset table A and an (n_e, K) event table B, and
+    _factored_product takes it from there.  A scalar t goes into A and a
+    per-event t into B.
     """
-    k = state.momenta.size
-    if isinstance(xs, _Stencil):
-        x, dt, dx = (np.asarray(a, dtype=float) for a in xs)
-        _require_resolvable(state, t + dt[:, None], x + dx[:, None])
-        tables = _phase_table_core(state, dt, dx), _phase_table_core(state, t, x)
-        n = xs.size
-    elif isinstance(xs, Lattice):
-        coarse, fine = np.asarray(xs.coarse, dtype=float), np.asarray(xs.fine, dtype=float)
-        if np.ndim(t) or not 0 < xs.n <= coarse.size * fine.size:
-            raise ValueError(
-                "the lattice form takes a scalar t and at most n_a n_b positions, n >= 1"
-            )
-        _require_resolvable(state, t, (coarse[:, None] + fine).ravel()[: xs.n])
-        tables = _phase_table_core(state, t, coarse), _phase_table_core(state, 0.0, fine)
-        n = xs.n
-    else:
-        return _table_product(_phase_table(state, t, xs), matrix)
-    return _factored_product(*tables, matrix.reshape(k, -1), n).reshape((n,) + matrix.shape[1:])
+    _require_resolvable(state, *_points(t, xs))
+    if not isinstance(xs, Lattice):
+        return _table_product(_phase_table_core(state, t, xs), matrix)
+    x, dt, dx, n = xs
+    t_a, t_b = (dt, t) if np.ndim(t) else (t + dt, 0.0)
+    tables = _phase_table_core(state, t_a, dx), _phase_table_core(state, t_b, x)
+    flat = matrix.reshape(state.momenta.size, -1)
+    return _factored_product(*tables, flat, n).reshape((n,) + matrix.shape[1:])
 
 
 def _factored_product(a_table, b_table, flat, n: int):
@@ -392,14 +380,16 @@ def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:
 
     ceil(sqrt(n)) fine offsets and ceil(n / n_fine) coarse rows at
     linspace's own points; the kernel evaluates the last row's surplus
-    points past hi and drops them.
+    points past hi and drops them.  The fine offsets are the events, the
+    coarse rows the offsets, at zero dt.
     """
     if n < 2:
         raise ValueError("a uniform lattice needs at least 2 points")
     n_b = math.isqrt(n - 1) + 1
     n_a = -(-n // n_b)
     step = (hi - lo) / (n - 1)
-    return Lattice(np.arange(0, n_a * n_b, n_b) * step + lo, np.arange(n_b) * step, n)
+    coarse = np.arange(0, n_a * n_b, n_b) * step + lo
+    return Lattice(np.arange(n_b) * step, np.zeros(n_a), coarse, n)
 
 
 def evaluate_psi(state: SpectralState, e: Event) -> complex:
@@ -415,7 +405,8 @@ def evaluate_dpsi(state: SpectralState, e: Event):
 
 def psi_grid(state: SpectralState, t: float, xs):
     """Vectorized psi(t, x) over an array of positions."""
-    return _plane_wave_sum(state, t, xs, _kernel_matrix(state, state.amplitudes.T))
+    # contiguous, as BLAS takes it: a strided column rounds one point's sum differently
+    return _plane_wave_sum(state, t, xs, np.ascontiguousarray(state._psi_dpsi_columns[..., 0]))
 
 
 def psi_dpsi_grid(state: SpectralState, t: float, xs):

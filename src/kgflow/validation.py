@@ -20,11 +20,11 @@ import numpy as np
 
 from ._quad import trapezoid_weights
 from .conditional import conditional_current_grid, decompose_check, weighted_density_grid
-from .current import central_divergence, current_grid
+from .current import _DIVERGENCE_OFFSETS, _divergence, central_divergence, current_grid
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, truncation_defect
-from .states import Event, _Stencil, uniform_lattice
+from .states import Event, Lattice, uniform_lattice
 
 TOLERANCES = {
     "momentum_truncation": 1e-8,
@@ -45,8 +45,11 @@ def richardson_divergence(j_fn, e: Event, h: float):
     Returns (estimate, residual_h, residual_h2); the estimate removes
     the leading h^2 term of the central-difference error.
     """
-    r_h = central_divergence(j_fn, e, h)
-    r_h2 = central_divergence(j_fn, e, 0.5 * h)
+    return _extrapolated(central_divergence(j_fn, e, h), central_divergence(j_fn, e, 0.5 * h))
+
+
+def _extrapolated(r_h, r_h2):
+    """(estimate, r_h, r_h2): the residuals at h and h/2 with the h^2 term removed."""
     return (4.0 * r_h2 - r_h) / 3.0, r_h, r_h2
 
 
@@ -60,23 +63,19 @@ def _median(values) -> float:
 def _continuity_scan(j_fn, events, length_scale: float, h: float = 1e-3):
     """Worst entrywise extrapolated divergence over max|j|/length, plus order ratios.
 
-    One j_fn(t, stencil) call takes every event at once, each at the
-    eight offsets of richardson_divergence, and returns rows per point.
+    One j_fn(t, lattice) call takes every event at once, each at the
+    divergence offsets at step h and at h/2, and returns rows per point.
     """
     t, x = np.array([(e.t, e.x) for e in events], dtype=float).T
-    # the events themselves, then the points central_divergence asks for, in its order,
-    # at step h and at h/2
-    offsets = [(0.0, 0.0)]
-    for step in (h, 0.5 * h):
-        offsets += [(step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)]
-    dt, dx = np.array(offsets).T
-    j0, j1 = (
-        c.reshape((len(offsets), t.size) + c.shape[1:]) for c in j_fn(t, _Stencil(x, dt, dx))
-    )
+    # the events themselves, then the divergence offsets at step h and at h/2
+    offsets = np.array(_DIVERGENCE_OFFSETS)
+    dt, dx = np.vstack([(0.0, 0.0), h * offsets, 0.5 * h * offsets]).T
+    j = j_fn(t, Lattice(x, dt, dx, dt.size * t.size))
+    j0, j1 = (c.reshape((dt.size, t.size) + c.shape[1:]) for c in j)
     j_max = np.max(np.hypot(j0[0], j1[0]), axis=0)
-    # richardson_divergence takes its eight points from the stacked rows, in order
-    stencil = zip(j0[1:], j1[1:])
-    est, r_h, r_h2 = richardson_divergence(lambda *_: next(stencil), Event(t, x), h)
+    est, r_h, r_h2 = _extrapolated(
+        _divergence(j0[1:5], j1[1:5], h), _divergence(j0[5:], j1[5:], 0.5 * h)
+    )
     rel = np.max(np.abs(est), axis=0) / (j_max / length_scale)
     resolved = np.abs(r_h2) > 1e-12 * j_max
     ratios = np.abs(r_h[resolved]) / np.abs(r_h2[resolved])
@@ -191,7 +190,7 @@ def _support_bounds(scenario: Scenario, t_max: float, margin: float, points):
     los, his = list(points), list(points)
     for pk in scenario.packets:
         v = pk.p_center / np.hypot(pk.p_center, scenario.mass)
-        reach = abs(v) * t_max + 7.0 / (2.0 * pk.p_width)
+        reach = abs(v) * t_max + pk.spread
         los.append(pk.x_center - reach)
         his.append(pk.x_center + reach)
     return min(los) - margin, max(his) + margin

@@ -64,14 +64,15 @@ def gauss_lattice(lo, hi, panels, nodes_per_panel):
     """gauss_panels(lo, hi, panels, nodes_per_panel) as (Lattice, w).
 
     Equal panels share one half-width h, so the nodes are the panel
-    midpoints plus the common offsets h x_i, the kernel's Lattice form
-    with non-uniform fine offsets; nodes and weights match gauss_panels'
-    to a few ulps.
+    midpoints plus the common offsets h x_i: a Lattice whose events are
+    the offsets h x_i, shifted in x by each midpoint; nodes and weights
+    match gauss_panels' to a few ulps.
     """
     base_x, base_w = _legendre_rule(nodes_per_panel)
     half = 0.5 * (hi - lo) / panels
     mid = lo + half * np.arange(1, 2 * panels, 2)
-    return Lattice(mid, half * base_x, panels * nodes_per_panel), np.tile(half * base_w, panels)
+    lattice = Lattice(half * base_x, np.zeros(panels), mid, panels * nodes_per_panel)
+    return lattice, np.tile(half * base_w, panels)
 
 
 def two_plane_wave_extrema(amp1, e1, p1, amp2, e2, p2):

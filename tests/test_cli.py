@@ -368,6 +368,19 @@ def test_unknown_field_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["density", "trajectories", "validate", "kernel"])
+def test_packet_beyond_resolvable_range_exit_code(tmp_path, capsys, command):
+    # on the s1 grid (range 83.9) a packet centred at x = 200 gave j0(0, 0) = 0.0986
+    # where 64 panels give 0.0820, and validate blamed the outcome grid's coverage
+    raw = json.loads((Path(kgflow.__file__).parent / "data" / "s1_conditional.json").read_text())
+    raw["packets"][0]["x_center"] = 200.0
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "packets[0]: box reach" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["warp", "--scenario", "single_rest", "--out", "/tmp/x"])

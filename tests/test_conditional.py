@@ -282,7 +282,7 @@ def test_weighted_integrand_on_lattice_matches_array_path(s1_conditional_scenari
     state = build_state(s1_conditional_scenario)
     ens = build_ensemble(s1_conditional_scenario, state)
     grid, _ = gauss_lattice(-24.0, 26.0, 100, 16)
-    xs = (grid.coarse[:, None] + grid.fine[None, :]).ravel()
+    xs = (grid.dx[:, None] + grid.x[None, :]).ravel()
     for t in (0.4, 1.6):
         w0, w1 = weighted_integrand_grid(state, ens, t, grid)
         r0, r1 = weighted_integrand_grid(state, ens, t, xs)

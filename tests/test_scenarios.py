@@ -107,26 +107,60 @@ def test_reach_beyond_resolvable_range_rejected():
     bound = GridSpec(**GOOD["grid"]).resolvable_range
     gaps = np.diff(gauss_panels(-3.0, 3.0, 8, 32)[0])
     assert bound == pytest.approx(np.pi / gaps.max(), rel=1e-15)
-    # max|x| + max|t| of the box, with either end the farther one
-    for box in ({"t_lo": -1.0, "t_hi": 2.0, "x_lo": -8.0, "x_hi": bound - 1.5},
-                {"t_lo": -2.0, "t_hi": 1.0, "x_lo": 1.5 - bound, "x_hi": 8.0}):
+    # max|x| + max|t| of the box, with either end the farther one; the packet sits
+    # toward that end, so that the box's own reach is what counts
+    for x_center, box in ((40.0, {"t_lo": -1.0, "t_hi": 2.0, "x_lo": -8.0, "x_hi": bound - 1.5}),
+                          (-40.0, {"t_lo": -2.0, "t_hi": 1.0, "x_lo": 1.5 - bound, "x_hi": 8.0})):
+        raw = clone(packets=[dict(GOOD["packets"][0], x_center=x_center)])
         with pytest.raises(ScenarioError, match="resolvable range"):
-            scenario_from_dict(clone(box=box))
+            scenario_from_dict(dict(raw, box=box))
         box = dict(box, t_lo=-1.0, t_hi=1.0)
-        assert scenario_from_dict(clone(box=box)).box == Box(**box)
+        assert scenario_from_dict(dict(raw, box=box)).box == Box(**box)
     # the ensemble evaluates every q at T = 2, so max|q| + |T| must stay within the bound
     for q_lo, q_hi in ((-1.0, bound - 1.5), (1.5 - bound, 1.0)):
         with pytest.raises(ScenarioError, match="resolvable range"):
             scenario_from_dict(clone(final={"T": 2.0, "q_lo": q_lo, "q_hi": q_hi, "n_q": 9}))
-    final = {"T": 2.0, "q_lo": 2.0 - bound, "q_hi": bound - 2.0, "n_q": 9}
-    sc = scenario_from_dict(clone(final=final))
-    assert sc.final.q_hi == bound - 2.0
-    # the kernel accepts the loader's edge outcomes
-    make_final_outcome([sc.final.q_lo, sc.final.q_hi], sc.final.T, build_state(sc))
+    for edge in (2.0 - bound, bound - 2.0):
+        final = {"T": 2.0, "q_lo": min(edge, 0.0), "q_hi": max(edge, 0.0), "n_q": 9}
+        packet = dict(GOOD["packets"][0], x_center=np.copysign(40.0, edge))
+        sc = scenario_from_dict(clone(packets=[packet], final=final))
+        assert max(-sc.final.q_lo, sc.final.q_hi) == bound - 2.0
+        # the kernel accepts the loader's edge outcomes
+        make_final_outcome([sc.final.q_lo, sc.final.q_hi], sc.final.T, build_state(sc))
     # the bundled scenarios reach 11 to 19 on grids that resolve about 84 and 87
     for name in BUNDLED_NAMES:
         expected = 83.9 if name.startswith("s1_") else 86.7
         assert load_scenario(name).grid.resolvable_range == pytest.approx(expected, abs=0.05)
+
+
+def test_packet_reach_beyond_resolvable_range_rejected():
+    # a packet's sum resolves |x - x_center| + |t| plus its spread 7/(2 p_width) = 14
+    bound = GridSpec(**GOOD["grid"]).resolvable_range
+    edge = bound - 14.0 - 1.0  # the farther end of the box from the packet, at |t| = 1
+    for x_center, end, sign in ((0.0, "x_hi", 1.0), (30.0, "x_lo", -1.0)):
+        raw = clone(packets=[dict(GOOD["packets"][0], x_center=x_center)])
+        box = dict(GOOD["box"], **{end: x_center + sign * (edge - 1e-9)})
+        assert scenario_from_dict(dict(raw, box=box)).box == Box(**box)
+        box[end] += sign * 2e-9
+        with pytest.raises(ScenarioError, match=r"packets\[0\]: box reach .* exceeds the grid's"):
+            scenario_from_dict(dict(raw, box=box))
+    # the final outcomes, at T = 2, measured from the second packet
+    packets = [GOOD["packets"][0], dict(GOOD["packets"][0], x_center=-40.0)]
+    final = {"T": 2.0, "q_lo": -8.0, "q_hi": bound - 14.0 - 2.0 - 40.0 - 1e-9, "n_q": 9}
+    scenario_from_dict(clone(packets=packets, final=final))
+    final["q_hi"] += 2e-9
+    with pytest.raises(ScenarioError, match=r"packets\[1\]: final outcome reach"):
+        scenario_from_dict(clone(packets=packets, final=final))
+    # the bundled scenarios reach at most 45.3, s1_conditional's outcomes, of 83.9
+    for name in BUNDLED_NAMES:
+        sc = load_scenario(name)
+        t_box = max(-sc.box.t_lo, sc.box.t_hi)
+        for pk in sc.packets:
+            reach = max(pk.x_center - sc.box.x_lo, sc.box.x_hi - pk.x_center) + t_box
+            assert reach + pk.spread <= 42.4
+            if sc.final is not None:
+                reach = max(pk.x_center - sc.final.q_lo, sc.final.q_hi - pk.x_center)
+                assert reach + abs(sc.final.T) + pk.spread <= 45.4
 
 
 def test_build_ensemble_requires_final(rest_scenario, s1_scenario):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgflow import (
     CausalOrderError,
@@ -18,7 +20,7 @@ from kgflow import (
     superpose,
 )
 from kgflow._quad import gauss_panels
-from kgflow.conditional import conditional_current_grid
+from kgflow.conditional import conditional_current_grid, weighted_integrand_grid
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
 from kgflow.states import (
@@ -27,7 +29,6 @@ from kgflow.states import (
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
-    _Stencil,
     psi_grid,
     uniform_lattice,
 )
@@ -174,7 +175,7 @@ def test_lattice_range_check_reads_positions_not_offsets(bundled_states):
 
 def test_lattice_range_check_reads_every_position(s1_state):
     # positions 0, 150, 10: the first and the n-th lie within the bound of 83.9, the second not
-    lattice = Lattice(np.array([0.0, 10.0]), np.array([0.0, 150.0]), 3)
+    lattice = Lattice(np.array([0.0, 150.0]), np.zeros(2), np.array([0.0, 10.0]), 3)
     for evaluate in (current_grid, lambda s, t, xs: nw_density_grid(s, xs, t)):
         with pytest.raises(DomainError, match="150 is beyond resolvable range 83.9"):
             evaluate(s1_state, 0.0, lattice)
@@ -300,7 +301,7 @@ def _lattice_columns(state, m):
 def test_lattice_kernel_matches_array_path(s1_state, n, m):
     coeffs = _lattice_columns(s1_state, m)
     grid = uniform_lattice(-8.0, 8.0, n)
-    coarse, fine, _ = grid
+    fine, _, coarse, _ = grid
     assert np.size(grid) == n > (coarse.size - 1) * fine.size
     xs = (coarse[:, None] + fine[None, :]).ravel()[:n]
     np.testing.assert_allclose(xs, np.linspace(-8.0, 8.0, n), rtol=0, atol=1e-14)
@@ -312,6 +313,11 @@ def test_lattice_kernel_matches_array_path(s1_state, n, m):
         assert np.all(np.abs(lattice - direct).max(axis=0) <= 1e-13 * peak)
 
 
+def _stencil(x, dt, dx):
+    """Every event x shifted by every offset (dt, dx): a Lattice of all its points."""
+    return Lattice(x, dt, dx, dt.size * x.size)
+
+
 def _stencil_points(t, stencil):
     """The stencil's points as flat (times, positions), offset-major."""
     t, x, dt, dx = np.broadcast_to(t, stencil.x.shape), stencil.x, stencil.dt, stencil.dx
@@ -321,7 +327,7 @@ def _stencil_points(t, stencil):
 @pytest.mark.parametrize("t", [np.array([-1.0, 0.0, 0.5, 1.5, 1.9]), 0.7])
 def test_stencil_matches_array_path(s1_state, t):
     # Richardson-sized offsets and two wide ones, about events across the packets
-    stencil = _Stencil(np.array([-4.0, 0.3, 2.0, 6.0, -0.5]), np.array([0.0, 1e-3, 0.0, 0.3, -0.8]),
+    stencil = _stencil(np.array([-4.0, 0.3, 2.0, 6.0, -0.5]), np.array([0.0, 1e-3, 0.0, 0.3, -0.8]),
                        np.array([0.0, 0.0, -5e-4, -0.7, 1.1]))
     ts, xs = _stencil_points(t, stencil)
     assert np.size(stencil) == stencil.size == ts.size == 25
@@ -338,17 +344,66 @@ def test_stencil_checks_every_point(s1_state):
     t, x = np.array([1.9, 0.0]), np.array([80.0, -1.0])
     # every point lies within the resolvable range of 83.9 and at or before T = 2,
     # though the largest |x|, |dx|, |t| and |dt| add up past the range
-    inside = _Stencil(x, np.array([0.0, 0.05, -0.3]), np.array([0.0, -5.0, 2.0]))
+    inside = _stencil(x, np.array([0.0, 0.05, -0.3]), np.array([0.0, -5.0, 2.0]))
     assert 80.0 + 5.0 + 1.9 + 0.3 > 83.9
     current_grid(s1_state, t, inside)
     conditional_current_grid(s1_state, outcome, t, inside)
     # only an offset's point passes the range: x = 80 + 4.5 at t = 1.9
     with pytest.raises(DomainError, match="beyond resolvable range 83.9"):
-        current_grid(s1_state, t, _Stencil(x, np.zeros(2), np.array([0.0, 4.5])))
+        current_grid(s1_state, t, _stencil(x, np.zeros(2), np.array([0.0, 4.5])))
     # only an offset's point passes T: t = 1.9 + 0.2
-    late = _Stencil(np.array([0.0, -1.0]), np.array([0.0, 0.2]), np.zeros(2))
+    late = _stencil(np.array([0.0, -1.0]), np.array([0.0, 0.2]), np.zeros(2))
     with pytest.raises(CausalOrderError, match="after measurement time 2.0"):
         conditional_current_grid(s1_state, outcome, t, late)
+
+
+def _floats(lo, hi, size):
+    return st.lists(st.floats(lo, hi), min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def _lattices(draw):
+    """(t, Lattice) near s1's packets: events within them, offsets that may pass T or the range."""
+    n_e, n_off = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    x = draw(_floats(-6.0, 6.0, n_e))
+    dt, dx = draw(_floats(-2.5, 2.5, n_off)), draw(_floats(-90.0, 90.0, n_off))
+    # the first offset is the events themselves, which hold the evaluation's peak
+    lattice = Lattice(x, np.r_[0.0, dt], np.r_[0.0, dx], draw(st.integers(1, (n_off + 1) * n_e)))
+    t = draw(st.floats(-2.0, 2.0) | _floats(-2.0, 2.0, n_e))
+    return t, lattice
+
+
+def _raised(evaluate):
+    """evaluate()'s result, or the type of the DomainError or CausalOrderError it raised."""
+    try:
+        return evaluate()
+    except (DomainError, CausalOrderError) as err:
+        return type(err)
+
+
+@pytest.fixture(scope="module")
+def s1_outcomes(s1_state):
+    # two outcomes at T = 2, which a lattice's offsets may pass
+    return make_final_outcome(np.array([-1.0, 2.0]), 2.0, s1_state)
+
+
+# one column folds into the offset table (m < n_e); six take the product table
+@pytest.mark.parametrize("m", [1, 6])
+@given(drawn=_lattices())
+def test_lattice_evaluates_its_points(s1_state, s1_outcomes, m, drawn):
+    t, lattice = drawn
+    ts, xs = _stencil_points(t, lattice)
+    ts, xs = ts[: lattice.n], xs[: lattice.n]
+    coeffs = _lattice_columns(s1_state, m)
+    for evaluate in (lambda t, xs: _plane_wave_sum(s1_state, t, xs, coeffs),
+                     lambda t, xs: weighted_integrand_grid(s1_state, s1_outcomes, t, xs)):
+        got, ref = _raised(lambda: evaluate(t, lattice)), _raised(lambda: evaluate(ts, xs))
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref
+            continue
+        for got, ref in zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]:
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
 
 
 def test_lattice_kernel_gauss_panels(s1_state):
@@ -356,7 +411,7 @@ def test_lattice_kernel_gauss_panels(s1_state):
     xs, w_ref = gauss_panels(-30.0, 34.0, 160, 16)
     # one common half-width against half-widths of rounded linspace edges
     np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0)
-    mid, offsets, n = grid
+    offsets, _, mid, n = grid
     assert n == np.size(grid) == xs.size
     np.testing.assert_allclose((mid[:, None] + offsets[None, :]).ravel(), xs, rtol=0, atol=1e-13)
     coeffs = _lattice_columns(s1_state, 1)[:, 0]
@@ -364,11 +419,11 @@ def test_lattice_kernel_gauss_panels(s1_state):
     direct = _plane_wave_sum(s1_state, 1.5, xs, coeffs)
     assert lattice.shape == direct.shape == xs.shape
     assert np.abs(lattice - direct).max() <= 1e-13 * np.abs(direct).max()
-    with pytest.raises(ValueError, match="scalar t"):
+    with pytest.raises(ValueError, match="scalar t or one t per event"):
         _plane_wave_sum(s1_state, np.array([0.0, 1.0]), grid, coeffs)
     for size in (n + 1, 0):  # an empty lattice has no n-th position to range-check
         with pytest.raises(ValueError, match="at most"):
-            _plane_wave_sum(s1_state, 1.5, Lattice(mid, offsets, size), coeffs)
+            _plane_wave_sum(s1_state, 1.5, grid._replace(n=size), coeffs)
     with pytest.raises(ValueError, match="at least 2"):
         uniform_lattice(0.0, 1.0, 1)
     # a plain tuple is still a sequence of positions
@@ -381,7 +436,7 @@ def test_lattice_product_table_matches_array_path(s1_state, n, m):
     # 16 fine offsets never exceed m, so every case takes the product table;
     # n = 2640 fills 165 panels exactly, 97 and 2 leave 15 and 14 surplus points
     grid = gauss_lattice(-30.0, 34.0, -(-n // 16), 16)[0]._replace(n=n)
-    coarse, fine, _ = grid
+    fine, _, coarse, _ = grid
     assert fine.size <= m and coarse.size * fine.size - n == {2: 14, 97: 15, 2640: 0}[n]
     xs = (coarse[:, None] + fine[None, :]).ravel()[:n]
     # the columns: m outcome rows peaked across the lattice's own span

@@ -103,7 +103,7 @@ def _spy_windows(monkeypatch):
 
 def _span(grid):
     # first and last position of a uniform_lattice
-    return grid.coarse[0], grid.coarse[0] + (grid.n - 1) * (grid.fine[1] - grid.fine[0])
+    return grid.dx[0], grid.dx[0] + (grid.n - 1) * (grid.x[1] - grid.x[0])
 
 
 def _checked_outcomes(scenario):
@@ -143,7 +143,7 @@ def test_window_spacing_resolves_the_band_limit(monkeypatch, s1_conditional_scen
     windows = _spy_windows(monkeypatch)
     within = conditional_normalization_defect(s1_conditional_scenario, state, kept, times)
     (grid, _), = windows
-    assert grid.fine[1] - grid.fine[0] <= 0.5 * band and within < 1e-10
+    assert grid.x[1] - grid.x[0] <= 0.5 * band and within < 1e-10
     # the same window at 1.5 times the band limit aliases
     lo, hi = _span(grid)
     n = int(np.ceil((hi - lo) / (1.5 * band))) + 1
