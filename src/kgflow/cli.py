@@ -21,8 +21,10 @@ from ._csv import write_csv
 from .conditional import DEFAULT_AMPLITUDE_FLOOR, make_final_outcome
 from .current import _CLASS_VALUES, current_grid
 from .errors import DomainError
-from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
-from .scenarios import Scenario, build_ensemble, build_state, load_scenario
+from .newton_wigner import (
+    KernelMode, bessel_k0, nw_amplitude_grid, nw_density_grid, position_kernel,
+)
+from .scenarios import Scenario, _final_block, build_state, load_scenario
 from .states import Event, uniform_lattice
 from .trajectories import (
     FRACTION_KEYS, Box, conditional_field, segment_stats, standard_field, trace_many,
@@ -127,15 +129,19 @@ def _run_trajectories(args, scenario: Scenario, out: Path) -> int:
             continue
         field, box = standard_field(state), scenario.box
         if conditional:
-            peak = float(np.abs(build_ensemble(scenario, state).amplitude_fi).max())
-            outcomes = make_final_outcome([seeds[i][1] for i in group], scenario.final.T, state)
+            # the peak outcome amplitude on the final block's q grid, as its ensemble has it,
+            # without the ensemble's coverage check
+            f = _final_block(scenario)
+            qs = np.linspace(f.q_lo, f.q_hi, f.n_q)
+            peak = float(np.abs(nw_amplitude_grid(state, qs, f.T)).max())
+            outcomes = make_final_outcome([seeds[i][1] for i in group], f.T, state)
             field = conditional_field(state, outcomes, DEFAULT_AMPLITUDE_FLOOR * peak)
             # stop before T: RK4 stages reach at most one step past an event
-            t_hi = min(box.t_hi, scenario.final.T - args.step)
+            t_hi = min(box.t_hi, f.T - args.step)
             if not box.t_lo < t_hi:
                 raise ValueError(
                     f"--step {args.step:g} leaves no time to trace conditional seeds: they "
-                    f"stop one step before the measurement time T = {scenario.final.T:g}, "
+                    f"stop one step before the measurement time T = {f.T:g}, "
                     f"and the box starts at t = {box.t_lo:g}"
                 )
             box = Box(box.t_lo, t_hi, box.x_lo, box.x_hi)

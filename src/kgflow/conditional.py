@@ -16,7 +16,8 @@ vanishing probability, and the conditional current is that product over
 
 A stacked FinalOutcome keeps its outcomes' backward amplitudes as the
 rows of one state, so one kernel call evaluates both boundary states for
-every outcome and ensemble sums contract the outcome axis.  An
+every outcome and ensemble sums contract the outcome axis; that call
+raises CausalOrderError at any evaluation time after T.  An
 OutcomeEnsemble is a stacked outcome with quadrature weights, and a lone
 outcome is the one-row case of the same code.
 """
@@ -29,14 +30,13 @@ import numpy as np
 
 from ._quad import trapezoid_weights
 from .current import current_grid
-from .errors import CausalOrderError, CoverageError, ZeroProbabilityOutcomeError
+from .errors import CoverageError, ZeroProbabilityOutcomeError
 from .newton_wigner import _nw_matrix, nw_density_grid
 from .states import (
     INV_SQRT_2PI,
     Event,
     FourVector,
     SpectralState,
-    _latest_time,
     _phase_table,
     _plane_wave_sum,
     _require_same_grid,
@@ -128,19 +128,9 @@ def _bilinear_grid(initial: SpectralState, f, t: float, xs, columns: int = 3):
     _require_same_grid(initial, back)
     k = initial.momenta.size
     both = [s._psi_dpsi_columns.reshape(k, -1, 3)[..., :columns] for s in (initial, back)]
-    out = _plane_wave_sum(initial, t, xs, np.concatenate(both, axis=1))  # (..., 1 + n_q, columns)
+    out = _plane_wave_sum(initial, t, xs, np.concatenate(both, 1), f.T)  # (..., 1 + n_q, columns)
     shape = out.shape[:-2] + back.amplitudes.shape[:-1]
     return tuple(e.reshape(shape) for e in _bilinear(out[..., :1, :], out[..., 1:, :]))
-
-
-def _require_before(f, t, xs=None):
-    """CausalOrderError unless every evaluation time is at or before f's time T.
-
-    The times are t at positions xs (states._latest_time); without xs, t alone.
-    """
-    t_last = _latest_time(t, xs)
-    if t_last > f.T:
-        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {f.T}")
 
 
 def _weighted_from(amplitude_fi, bilinear):
@@ -190,13 +180,11 @@ def conditional_current(
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
     """Vectorized pole-free j^a(x|f) |<f|i>|^2; a stacked f adds an outcome axis."""
-    _require_before(f, t, xs)
     return _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs))
 
 
 def weighted_density_grid(initial: SpectralState, f, t: float, xs):
     """The time component of weighted_integrand_grid alone, from psi and d0 columns only."""
-    _require_before(f, t, xs)
     (w0,) = _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs, columns=2))
     return w0
 

@@ -252,9 +252,14 @@ def build_state(scenario: Scenario, check_truncation: bool = True) -> SpectralSt
     return superpose(parts, [pk.coeff for pk in scenario.packets])
 
 
-def build_ensemble(scenario: Scenario, state: SpectralState) -> OutcomeEnsemble:
-    """Outcome ensemble of a scenario's final measurement block."""
+def _final_block(scenario: Scenario):
+    """The scenario's final measurement block; ScenarioError when it has none."""
     if scenario.final is None:
         raise ScenarioError(f"scenario {scenario.name!r} has no final block")
-    f = scenario.final
+    return scenario.final
+
+
+def build_ensemble(scenario: Scenario, state: SpectralState) -> OutcomeEnsemble:
+    """Outcome ensemble of a scenario's final measurement block."""
+    f = _final_block(scenario)
     return make_outcome_ensemble(state, f.T, f.q_lo, f.q_hi, f.n_q)

@@ -21,7 +21,8 @@ positions keeps the table small: a Lattice, events each shifted by the
 same spacetime offsets (a uniform x-grid, or validation's finite
 differences), builds one table for the events and one for the offsets,
 since exp(-i(p0 t - p x)) splits over sums.  A table, and so any
-evaluation, raises DomainError past the grid's resolvable range.
+evaluation, raises DomainError past the grid's resolvable range, and a
+conditioned one CausalOrderError at a time after its measurement time T.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -36,7 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import gauss_panels
-from .errors import DegenerateStateError, DomainError, GridMismatchError, TruncationError
+from .errors import (
+    CausalOrderError, DegenerateStateError, DomainError, GridMismatchError, TruncationError,
+)
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -293,13 +296,17 @@ def _points(t, xs):
     return times.ravel()[:n], positions.ravel()[:n]
 
 
-def _latest_time(t, xs) -> float:
-    """The latest evaluation time of t at positions xs or at a Lattice xs."""
-    return np.max(_points(t, xs)[0])
+def _require_before(times, T: float):
+    """CausalOrderError unless every evaluation time is at or before the measurement time T."""
+    t_last = np.max(times)
+    if t_last > T:
+        raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {T}")
 
 
-def _require_resolvable(state: SpectralState, t, xs):
-    """DomainError unless |x| + |t| is within the state's resolvable range at every position."""
+def _require_resolvable(state: SpectralState, t, xs, T: float | None = None):
+    """DomainError unless each |x| + |t| is in the state's range; CausalOrderError first past T."""
+    if T is not None:
+        _require_before(t, T)
     reach, bound = np.abs(xs) + np.abs(t), state._resolvable_range
     if not np.all(reach <= bound):  # a NaN position fails here too
         raise DomainError(f"|x| + |t| = {np.max(reach):g} is beyond resolvable range {bound:.1f}")
@@ -333,14 +340,16 @@ def _table_product(table, matrix):
     return (table @ flat).reshape(table.shape[:-1] + matrix.shape[1:])
 
 
-def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
+def _plane_wave_sum(state: SpectralState, t: float, xs, matrix, T: float | None = None):
     """The evaluation kernel: sum_k <x|p_k> c_k at time t for every x, as table @ matrix.
 
     matrix (K, ...) holds mode coefficients on the state's grid with the
     weights w_k (2 pi)^-1/2 already in them (_kernel_matrix); the result
     has shape xs.shape + matrix.shape[1:]; t is a scalar or broadcasts
     against xs (one time per position).  The (n_x, K) phase table is built
-    in place once and multiplies the (K, m) matrix.
+    in place once and multiplies the (K, m) matrix.  A conditioned
+    evaluation passes its measurement time T: an evaluation time after T
+    raises CausalOrderError, checked before the range.
 
     xs may instead be a Lattice of events at m offsets; the result then
     has its n points as rows.  exp(-i(p0 (t + dt) - p (x + dx))) splits
@@ -348,7 +357,7 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix):
     _factored_product takes it from there.  A scalar t goes into A and a
     per-event t into B.
     """
-    _require_resolvable(state, *_points(t, xs))
+    _require_resolvable(state, *_points(t, xs), T)
     if not isinstance(xs, Lattice):
         return _table_product(_phase_table_core(state, t, xs), matrix)
     x, dt, dx, n = xs

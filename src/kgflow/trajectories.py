@@ -37,11 +37,11 @@ import numpy as np
 from .errors import NodeError
 from .current import _CLASS_CODES, _class_codes, _current_from, current_grid
 from .conditional import (
-    DEFAULT_AMPLITUDE_FLOOR, FinalOutcome, _bilinear, _checked_probability, _require_before,
-    _weighted_from,
+    DEFAULT_AMPLITUDE_FLOOR, FinalOutcome, _bilinear, _checked_probability, _weighted_from,
 )
 from .states import (
-    Event, FourVector, SpectralState, _phase_table, _require_resolvable, _require_same_grid,
+    Event, FourVector, SpectralState, _phase_table, _require_before, _require_resolvable,
+    _require_same_grid,
 )
 
 FieldHandle = Callable[[Event], FourVector]
@@ -148,7 +148,7 @@ def conditional_field(
         a2 = _checked_probability(amplitudes, amplitude_floor)[:, None]
 
         def read(t, values):
-            _require_before(outcome, t)
+            _require_before(t, outcome.T)
             w = _weighted_from(amplitudes, _bilinear(values[:, 0], values[:, 1]))
             return np.column_stack(w) / a2
 

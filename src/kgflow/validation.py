@@ -102,6 +102,8 @@ def run_validation(scenario: Scenario) -> dict:
     """
     if scenario.final is None:
         raise ScenarioError("validation requires a scenario with a final block")
+    if not scenario.final.T > 0:
+        raise ScenarioError(f"validation requires final.T > 0, got {scenario.final.T:g}")
 
     checks = {}
 
@@ -129,8 +131,10 @@ def run_validation(scenario: Scenario) -> dict:
         np.array([0.2, 0.5, 0.8]) * T, _centred(box.x_lo, box.x_hi, 0.3, 3)
     )
     start = perf_counter()
+    # the stencil's latest time 0.8 T + h stays at or before T
     worst_cond, _ = _continuity_scan(
-        lambda t, x: conditional_current_grid(state, kept, t, x), cond_events, length
+        lambda t, x: conditional_current_grid(state, kept, t, x), cond_events, length,
+        h=min(1e-3, 0.1 * T),
     )
     checks["continuity_conditional"] = _entry(
         worst_cond, "continuity_conditional", start, outcomes_checked=int(kept.q_value.size)

@@ -265,6 +265,48 @@ def test_validate_requires_final_block(tmp_path):
     assert rc == 2
 
 
+def _s1_conditional_with(tmp_path, **final):
+    """s1_conditional with its final block updated, written to a file; returns the path."""
+    raw = json.loads((Path(kgflow.__file__).parent / "data" / "s1_conditional.json").read_text())
+    raw["final"].update(final)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_validate_early_measurement_time_passes(tmp_path):
+    # at T = 0.004 a conditional stencil step of 1e-3 reached 0.8 T + h = 0.0042, past T
+    out = tmp_path / "out"
+    rc = main(["validate", "--scenario", str(_s1_conditional_with(tmp_path, T=0.004)),
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "validation_report.json").read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize("final", [{"T": 0.0}, {"T": -2.0, "q_lo": -20.0, "q_hi": 16.0}],
+                         ids=["zero", "negative"])
+def test_validate_requires_positive_measurement_time(tmp_path, capsys, final):
+    # the loader takes any T; validate's checks sit at times in (0, T]
+    out = tmp_path / "out"
+    rc = main(["validate", "--scenario", str(_s1_conditional_with(tmp_path, **final)),
+               "--out", str(out)])
+    assert rc == 2
+    assert "final.T > 0" in capsys.readouterr().err
+    assert not (out / "validation_report.json").exists()
+
+
+def test_conditional_trace_with_narrow_outcome_window(tmp_path):
+    # q in [-4, 8] holds 0.887 of the outcome probability: the amplitude floor reads the
+    # window's peak and the trace never needs the ensemble's coverage
+    out = tmp_path / "out"
+    rc = main(["trajectories", "--scenario",
+               str(_s1_conditional_with(tmp_path, q_lo=-4.0, q_hi=8.0)), "--out", str(out),
+               "--seed=0.0,1.0,1.0"])
+    assert rc == 0
+    (line,) = json.loads((out / "trajectories_summary.json").read_text())["trajectories"]
+    assert line["outcome_q"] == 1.0 and line["n_events"] > 1
+
+
 def test_kernel_table(tmp_path):
     out = tmp_path / "out"
     rc = main([

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from kgflow import load_scenario, validation
+from kgflow import CausalOrderError, load_scenario, states, validation
 from kgflow._quad import gauss_panels, trapezoid_weights
 from kgflow.conditional import outcome_probabilities, weighted_density_grid, weighted_integrand_grid
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
-from kgflow.scenarios import build_ensemble, build_state
+from kgflow.errors import ScenarioError
+from kgflow.scenarios import build_ensemble, build_state, scenario_from_dict
 from kgflow.states import uniform_lattice
 from kgflow.validation import (
     OUTCOME_RHO_FLOOR,
@@ -16,6 +21,7 @@ from kgflow.validation import (
     conditional_normalization_defect,
     nw_parseval_defect,
     richardson_divergence,
+    run_validation,
 )
 
 
@@ -150,3 +156,74 @@ def test_window_spacing_resolves_the_band_limit(monkeypatch, s1_conditional_scen
     coarse = uniform_lattice(lo, hi, n), trapezoid_weights(n, (hi - lo) / (n - 1))
     monkeypatch.setattr(validation, "_window", lambda *args: coarse)
     assert conditional_normalization_defect(s1_conditional_scenario, state, kept, times) > 1e-3
+
+
+def test_conditional_lattice_builds_its_points_once(monkeypatch, s1_conditional_scenario):
+    # the kernel's causal-order and range checks read one flat copy of the window's points
+    state, kept, times = _checked_outcomes(s1_conditional_scenario)
+    windows = _spy_windows(monkeypatch)
+    conditional_normalization_defect(s1_conditional_scenario, state, kept, times)
+    (window, _), = windows
+    calls, real = [], states._points
+    monkeypatch.setattr(states, "_points", lambda t, xs: calls.append(xs) or real(t, xs))
+    weighted_density_grid(state, kept, float(times[-1]), window)
+    assert len(calls) == 1 and calls[0] is window
+    with pytest.raises(CausalOrderError, match="lies after measurement time 2.0"):
+        weighted_density_grid(state, kept, kept.T + 1e-9, window)
+    assert len(calls) == 2
+
+
+def _drawn_scenario(mass, packets, T):
+    """A scenario around the drawn packets: grid, q window, n_q and box follow from them."""
+    p_min = min(pc - 9.0 * pw for pc, pw, _, _ in packets)
+    p_max = max(pc + 9.0 * pw for pc, pw, _, _ in packets)
+    q_lo, q_hi, x_lo, x_hi = [], [], [], []
+    for pc, pw, xc, _ in packets:
+        spread = 7.0 / (2.0 * pw)  # PacketSpec.spread
+        reach = abs(pc) / math.hypot(pc, mass) * T + spread
+        q_lo.append(xc - reach)
+        q_hi.append(xc + reach)
+        x_lo.append(xc - spread)
+        x_hi.append(xc + spread)
+    q_lo, q_hi = min(q_lo) - 14.0 / mass, max(q_hi) + 14.0 / mass
+    # a spacing of at most 0.8 of the band limit 2 pi / (p_max - p_min)
+    n_q = math.ceil((q_hi - q_lo) * (p_max - p_min) / (0.8 * 2.0 * math.pi)) + 1
+    return {
+        "name": "drawn",
+        "mass": mass,
+        "packets": [
+            {"p_center": pc, "p_width": pw, "x_center": xc, "coeff_re": c[0], "coeff_im": c[1]}
+            for pc, pw, xc, c in packets
+        ],
+        "grid": {"p_min": p_min, "p_max": p_max, "panels": 8, "nodes_per_panel": 32},
+        "box": {"t_lo": -1.0, "t_hi": 1.0, "x_lo": min(x_lo), "x_hi": max(x_hi)},
+        "final": {"T": T, "q_lo": q_lo, "q_hi": q_hi, "n_q": n_q},
+    }
+
+
+_PACKETS = st.lists(
+    st.tuples(
+        st.floats(-3.0, 3.0),
+        st.floats(0.1, 0.5),
+        st.floats(-5.0, 5.0),
+        st.tuples(st.floats(0.2, 1.5), st.floats(-1.0, 1.0)),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@given(
+    mass=st.floats(0.5, 3.0),
+    packets=_PACKETS,
+    T=st.floats(0.0, 1.0).map(lambda u: 3e-4 * (5.0 / 3e-4) ** u),  # log-uniform
+)
+def test_drawn_scenarios_validate(mass, packets, T):
+    # every scenario the loader takes, with an outcome window that holds its probability,
+    # passes every check, down to measurement times far below the stencil step 1e-3
+    try:
+        scenario = scenario_from_dict(_drawn_scenario(mass, packets, T))
+    except ScenarioError:
+        assume(False)
+    report = run_validation(scenario)
+    assert report["all_pass"], {name: c["value"] for name, c in report["checks"].items()}
