@@ -18,11 +18,13 @@ i, both set-ups and then both operations.
 
 The file holds, per workload and side, the median and quartiles
 (statistics.quantiles, inclusive) of setup_s, wall_s and peak_rss_mb,
-the work per second over all operations and the failed count; per
-workload the number of pairs in which head was lower on each metric, and
-whether that makes a gain: lower in nine pairs of ten or more, by more
-than base's quartile spread in the median; the machine facts and both
-revisions.  Run it on an otherwise idle machine: the children run one at
+work_per_s as perfbench defines it (all operations' work over their
+summed wall_s), the median and quartiles of each pair's own work /
+wall_s (work_per_s_per_pair) and the failed count; per workload the
+number of pairs in which head was lower on each metric and higher on
+work per second, and whether head's lower pairs make a gain: lower in
+nine pairs of ten or more, by more than base's quartile spread in the
+median; the machine facts and both revisions.  Run it on an otherwise idle machine: the children run one at
 a time.
 """
 
@@ -89,7 +91,7 @@ class Side:
         self.out = out / name
         self.out.mkdir(parents=True)
         self.samples = {metric: [] for metric in METRICS}
-        self.work = 0
+        self.works = []  # per pair; None marks a failure
         self.failed = 0
 
     def bench(self):
@@ -105,21 +107,28 @@ def _spread(values) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def _rates(side: Side) -> list:
+    """Each pair's work / wall_s, None where the operation failed."""
+    return [None if w is None else w / s for w, s in zip(side.works, side.samples["wall_s"])]
+
+
 def _summary(side: Side) -> dict:
     summary = {metric: _spread(values) for metric, values in side.samples.items()}
-    walls = [v for v in side.samples["wall_s"] if v is not None]
-    summary["work_per_s"] = side.work / sum(walls) if walls else None
+    walls = [s for w, s in zip(side.works, side.samples["wall_s"]) if w is not None]
+    summary["work_per_s"] = sum(w for w in side.works if w is not None) / sum(walls) if walls else None
+    summary["work_per_s_per_pair"] = _spread(_rates(side))
     summary["failed"] = side.failed
     return summary
 
 
+def _below(lows, highs) -> int:
+    """The pairs in which the sample of lows is below that of highs, where both have one."""
+    return sum(lo is not None and hi is not None and lo < hi for lo, hi in zip(lows, highs))
+
+
 def _lower_pairs(base: Side, head: Side) -> dict:
     """Per metric, the pairs in which head's sample is below base's, where both have one."""
-    return {
-        metric: sum(b is not None and h is not None and h < b
-                    for b, h in zip(base.samples[metric], head.samples[metric]))
-        for metric in METRICS
-    }
+    return {metric: _below(head.samples[metric], base.samples[metric]) for metric in METRICS}
 
 
 def _gain_met(base: dict, head: dict, lower: dict, pairs: int) -> dict:
@@ -148,14 +157,14 @@ def bench(name: str, roots: dict, pairs: int, seed: int, out: Path):
             result = benches[side.name].operation(i, traced=False)
             if result is None:
                 side.failed += 1
-                result = {"wall_s": None, "peak_rss_mb": None}
-            else:
-                side.work += result["work"]
+                result = {"wall_s": None, "peak_rss_mb": None, "work": None}
+            side.works.append(result["work"])
             for metric in ("wall_s", "peak_rss_mb"):
                 side.samples[metric].append(result[metric])
         print(f"run_bench: {name} pair {i + 1}/{pairs}", file=sys.stderr)
     entry = {"argv_shape": head.workload.argv_shape, "base": _summary(base),
-             "head": _summary(head), "head_lower_pairs": _lower_pairs(base, head)}
+             "head": _summary(head), "head_lower_pairs": _lower_pairs(base, head),
+             "head_higher_pairs": {"work_per_s": _below(_rates(base), _rates(head))}}
     entry["gain_met"] = _gain_met(entry["base"], entry["head"], entry["head_lower_pairs"], pairs)
     return entry, machine
 

@@ -90,9 +90,18 @@ MIN_SEPARATION = 1e-81
 # the smallest n with 2 (3 + sqrt 8)^-n < 1e-17
 _PHASE_PANELS = int(np.ceil(np.log(2e17) / np.log(3.0 + np.sqrt(8.0))))
 
-# separations per call of _kernel_relativistic; they share its longest geometric
-# run, about 455 panels of 16 nodes at |delta| = 1e-80 and m = 1
+# entries per block of _blockwise: separations per call of _kernel_relativistic,
+# which share its longest geometric run (about 455 panels of 16 nodes at
+# |delta| = 1e-80 and m = 1), and arguments per block of bessel_k0's 1024 nodes
 _KERNEL_BLOCK = 64
+
+
+def _blockwise(fn, values):
+    """fn, elementwise, over blocks of _KERNEL_BLOCK entries of values; a float for a scalar."""
+    out, flat = np.empty(values.size), values.ravel()
+    for lo in range(0, values.size, _KERNEL_BLOCK):
+        out[lo : lo + _KERNEL_BLOCK] = fn(flat[lo : lo + _KERNEL_BLOCK])
+    return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
 
 
 def _kernel_relativistic(mass: float, d):
@@ -161,25 +170,25 @@ def position_kernel(mass: float, delta, mode: KernelMode):
         raise DomainError(f"separation {delta[mass * d > MAX_MASS_SEPARATION][0]:g} at mass "
                           f"{mass:g} puts m|delta| beyond {MAX_MASS_SEPARATION:g}, where the "
                           "rounding floor is no longer small against K0(m|delta|)/pi")
-    kernel, flat = np.empty(d.size), d.ravel()
-    for lo in range(0, d.size, _KERNEL_BLOCK):
-        kernel[lo : lo + _KERNEL_BLOCK] = _kernel_relativistic(mass, flat[lo : lo + _KERNEL_BLOCK])
-    return float(kernel[0]) if delta.ndim == 0 else kernel.reshape(delta.shape)
+    return _blockwise(lambda block: _kernel_relativistic(mass, block), d)
 
 
 def bessel_k0(z):
     """Modified Bessel function K0 via int_0^inf exp(-z cosh u) du.
 
-    Elementwise over an array of arguments; a scalar gives a float.
+    Elementwise over an array of arguments, in blocks of _KERNEL_BLOCK,
+    which bound the memory of one call; a scalar gives a float.
     """
     z = np.asarray(z, dtype=float)
     bad = z[~((0 < z) & (z < np.inf))]
     if bad.size:
         raise ValueError(f"argument must be positive and finite, got {bad[0]}")
-    u_max = np.arccosh(np.maximum(750.0 / z, 2.0))
-    u, w = gauss_panels(0.0, u_max, 64, 16)
-    k0 = np.sum(w * np.exp(-z[..., None] * np.cosh(u)), axis=-1)
-    return float(k0) if k0.ndim == 0 else k0
+
+    def k0(block):
+        u, w = gauss_panels(0.0, np.arccosh(np.maximum(750.0 / block, 2.0)), 64, 16)
+        return np.sum(w * np.exp(-block[:, None] * np.cosh(u)), axis=-1)
+
+    return _blockwise(k0, z)
 
 
 def nw_gram_check(q_grid, mass: float, grid: GridSpec, basis: str = "newton-wigner") -> float:

@@ -102,15 +102,16 @@ class TableField:
     """A field handle whose field the tracer can also read off Taylor jets of its states.
 
     Calling it evaluates evaluate(t, x), so it keeps the field(e) protocol.
-    rows() gives the weighted mode coefficients (S, rows or 1, K) of the S
+    coeffs are the weighted mode coefficients (S, rows or 1, K) of the S
     states whose psi, d0 psi and d1 psi make the field, row i serving seed
-    i, and a reader read(t, values) of the field (rows, 2), (j0, j1) per
-    row, from their values (rows, S, 3) at times t.
+    i, and read(t, values) reads the field (rows, 2), (j0, j1) per row,
+    from their values (rows, S, 3) at times t.
     """
 
     state: SpectralState
     evaluate: Callable
-    rows: Callable
+    coeffs: np.ndarray
+    read: Callable
 
     def __call__(self, e: Event) -> FourVector:
         return FourVector(*self.evaluate(e.t, e.x))
@@ -123,7 +124,7 @@ def standard_field(state: SpectralState) -> FieldHandle:
     def read(t, values):
         return np.column_stack(_current_from(*values[:, 0].T))
 
-    return TableField(state, lambda t, x: current_grid(state, t, x), lambda: (coeffs, read))
+    return TableField(state, lambda t, x: current_grid(state, t, x), coeffs, read)
 
 
 def conditional_field(
@@ -135,34 +136,29 @@ def conditional_field(
     i of each event on outcome i, at cost linear in the number of rows; an
     event or a set of seeds needs one row per outcome (ValueError otherwise).
     The field pairs the weighted amplitudes of the initial and backward
-    states once (a lone outcome's row serves every seed), and rows() checks
-    the amplitude floor of every outcome once per trace, not per evaluation.
+    states once (a lone outcome's row serves every seed), and checks the
+    amplitude floor of every outcome once, here.  Calling it reads every
+    event as its own jet centre, as the tracer does for a step past the
+    jet radius.
     """
     _require_same_grid(initial, outcome.backward_state)
     own = initial._psi_dpsi_columns[..., 0]  # the weighted amplitudes
     theirs = outcome.backward_state._psi_dpsi_columns[..., 0].T.reshape(-1, own.size)
-    coeffs = np.stack(np.broadcast_arrays(own, theirs))
     amplitudes = np.reshape(outcome.amplitude_fi, -1)
+    a2 = _checked_probability(amplitudes, amplitude_floor)[:, None]
 
-    def rows():
-        a2 = _checked_probability(amplitudes, amplitude_floor)[:, None]
-
-        def read(t, values):
-            _require_before(t, outcome.T)
-            w = _weighted_from(amplitudes, _bilinear(values[:, 0], values[:, 1]))
-            return np.column_stack(w) / a2
-
-        return coeffs, read
+    def read(t, values):
+        _require_before(t, outcome.T)
+        w = _weighted_from(amplitudes, _bilinear(values[:, 0], values[:, 1]))
+        return np.column_stack(w) / a2
 
     def evaluate(t, x):
         t, x = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
-        (coeffs, read), jets = rows(), _Jets(initial, 0)  # each event a centre
-        _require_row_count(coeffs, t.size)
-        taylor = jets.centre(_phase_table(initial, t.ravel(), x.ravel()), coeffs)
-        values = jets.at(taylor, np.zeros((t.size, 2)), 0)
-        return tuple(j.reshape(t.shape)[()] for j in read(t.ravel(), values).T)
+        j = _JetStages(field, math.inf, t.size).accept(np.column_stack([t.ravel(), x.ravel()]), 0)
+        return tuple(c.reshape(t.shape)[()] for c in j.T)
 
-    return TableField(initial, evaluate, rows)
+    field = TableField(initial, evaluate, np.stack(np.broadcast_arrays(own, theirs)), read)
+    return field
 
 
 def _require_row_count(coeffs, n: int):
@@ -187,8 +183,8 @@ def _jet_plan(state: SpectralState, step: float):
     the smallest N with (s theta_h)^(N+1) / (N+1)! < 1e-17.  At m = 0 every
     evaluation is its own centre."""
     theta = step * np.hypot(state.momenta, state.energies).max()
-    every, degrees = int(JET_RADIUS // theta), []
-    for reach in theta * np.arange(every + 1):
+    every, degrees = int(JET_RADIUS // theta), [0]  # at s = 0, even for an infinite step
+    for reach in theta * np.arange(1, every + 1):
         degree, term = 0, reach  # term = reach^(N+1) / (N+1)!
         while term >= 1e-17:
             degree += 1
@@ -255,7 +251,7 @@ class _JetStages:
         self.state = field.state
         self.every, self.degrees = _jet_plan(self.state, step)
         self.jets = _Jets(self.state, self.degrees[-1])
-        self.coeffs, self.read = field.rows()
+        self.coeffs, self.read = field.coeffs, field.read
         _require_row_count(self.coeffs, n)
 
     def _centre(self, p):

@@ -291,6 +291,21 @@ def test_kernel_memory_bounded_by_block():
     assert peak(4 * _KERNEL_BLOCK) <= 1.1 * peak(_KERNEL_BLOCK)
 
 
+def test_bessel_memory_bounded_by_block():
+    # each argument takes 1024 nodes; the blocks bound a call's memory, as the kernel's
+    # oracle in kg-flow kernel calls it with every separation at once
+    def peak(n):
+        tracemalloc.start()
+        try:
+            bessel_k0(np.linspace(0.01, 20.0, n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(_KERNEL_BLOCK)  # fill the rule caches outside the measurement
+    assert peak(16 * _KERNEL_BLOCK) <= 1.1 * peak(_KERNEL_BLOCK)
+
+
 def test_alternating_weights_sum_known_series():
     c = _alternating_weights(23)
     k = np.arange(23)

@@ -60,3 +60,32 @@ def test_lower_pairs_skip_failed_pairs(run_bench):
     head = side([1.0, 1.0, None, 3.0, 0.5])
     # pair 1 lost base's sample and pair 2 head's; of the rest, pairs 0 and 4 are lower
     assert run_bench._lower_pairs(base, head) == dict.fromkeys(run_bench.METRICS, 2)
+
+
+def _side(run_bench, walls, works):
+    samples = {m: list(walls) for m in run_bench.METRICS}
+    return SimpleNamespace(samples=samples, works=list(works), failed=works.count(None))
+
+
+def test_summary_pools_work_and_gives_each_pair_its_rate(run_bench):
+    # pair rates 10, 40, 20 and 30 per s; the pooled figure is all work over all time
+    side = _side(run_bench, [1.0, 0.5, 2.0, None, 1.0], [10, 20, 40, None, 30])
+    summary = run_bench._summary(side)
+    assert summary["work_per_s"] == 100 / 4.5
+    assert summary["work_per_s_per_pair"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "n": 4}
+    assert summary["wall_s"]["n"] == 4 and summary["failed"] == 1
+
+
+def test_summary_of_failed_runs_has_no_rates(run_bench):
+    summary = run_bench._summary(_side(run_bench, [None, 1.0], [None, 5]))
+    assert summary["work_per_s"] == 5.0
+    assert summary["work_per_s_per_pair"] is None
+    summary = run_bench._summary(_side(run_bench, [None, None], [None, None]))
+    assert summary["work_per_s"] is None and summary["failed"] == 2
+
+
+def test_head_higher_rate_pairs_skip_failed_pairs(run_bench):
+    base = _side(run_bench, [1.0, 1.0, 1.0, None], [10, 10, 10, None])
+    head = _side(run_bench, [1.0, None, 2.0, 1.0], [20, None, 10, 30])
+    # pair 0 is higher; pair 1 lost head's sample, pair 3 base's; pair 2 is lower
+    assert run_bench._below(run_bench._rates(base), run_bench._rates(head)) == 1

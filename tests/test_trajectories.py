@@ -307,7 +307,8 @@ def test_standard_field_reads_table_as_current_grid(bundled_states):
     # the field's coefficient rows and reader, on degree-0 jets of the phase
     # table (psi, d0 psi and d1 psi themselves), give current_grid to rounding
     state = bundled_states["s1_negative_density"]
-    coeffs, read = standard_field(state).rows()
+    field = standard_field(state)
+    coeffs, read = field.coeffs, field.read
     rng = np.random.default_rng(7)
     t, x = rng.uniform(-5.0, 5.0, 33), rng.uniform(-14.0, 14.0, 33)
     jets = _Jets(state, 0)
@@ -334,6 +335,21 @@ def test_stacked_conditional_field_is_diagonal_of_grid(bundled_states, n):
         conditional_field(state, outcome)(Event(np.full(n, 2.5), x))
     with pytest.raises(ZeroProbabilityOutcomeError):
         conditional_field(state, outcome, amplitude_floor=1.0)(Event(t, x))
+
+
+def test_conditional_field_checks_its_floor_when_made(bundled_states):
+    # the floor is checked once, when the field is made, not at each call or trace;
+    # one outcome below it stops the whole stack
+    state = bundled_states["s1_conditional"]
+    outcome = make_final_outcome([1.0, 40.0], 2.0, state)
+    amp = np.abs(outcome.amplitude_fi)
+    assert amp[1] < 1e-8 < amp[0]
+    with pytest.raises(ZeroProbabilityOutcomeError, match="floor"):
+        conditional_field(state, outcome)
+    with pytest.raises(ZeroProbabilityOutcomeError, match="floor"):
+        conditional_field(state, outcome.rows(0), amplitude_floor=2.0 * amp[0])
+    field = conditional_field(state, outcome.rows(0), amplitude_floor=0.5 * amp[0])
+    assert field.coeffs.shape[:2] == (2, 1)
 
 
 def _counting_table_builders(monkeypatch):
@@ -462,7 +478,7 @@ def test_jets_match_phase_table_over_the_radius(bundled_states, name, step):
     rng = np.random.default_rng(11)
     n = 300
     t, x = rng.uniform(-3.0, 3.0, n), rng.uniform(-10.0, 10.0, n)
-    coeffs, _ = standard_field(state).rows()
+    coeffs = standard_field(state).coeffs
     taylor = jets.centre(_phase_table(state, t, x), coeffs)
     fastest = np.argmax(rate)
     edge = np.array([-state.energies[fastest], state.momenta[fastest]]) / rate[fastest]
