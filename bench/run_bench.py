@@ -22,9 +22,11 @@ work_per_s as perfbench defines it (all operations' work over their
 summed wall_s), the median and quartiles of each pair's own work /
 wall_s (work_per_s_per_pair) and the failed count; per workload the
 number of pairs in which head was lower on each metric and higher on
-work per second, and whether head's lower pairs make a gain: lower in
-nine pairs of ten or more, by more than base's quartile spread in the
-median; the machine facts and both revisions.  Run it on an otherwise idle machine: the children run one at
+work per second, head's median over base's on each metric and its
+pooled work_per_s over base's (median_ratio), and whether head's lower
+pairs make a gain: lower in nine pairs of ten or more, by more than
+base's quartile spread in the median; the machine facts and both
+revisions.  Run it on an otherwise idle machine: the children run one at
 a time.
 """
 
@@ -142,6 +144,14 @@ def _gain_met(base: dict, head: dict, lower: dict, pairs: int) -> dict:
     }
 
 
+def _median_ratios(base: dict, head: dict) -> dict:
+    """Head's median over base's per metric, and head's pooled work_per_s over base's;
+    None where a side has no figure."""
+    figures = {m: (base[m] and base[m]["median"], head[m] and head[m]["median"]) for m in METRICS}
+    figures["work_per_s"] = base["work_per_s"], head["work_per_s"]
+    return {m: h / b if b and h is not None else None for m, (b, h) in figures.items()}
+
+
 def bench(name: str, roots: dict, pairs: int, seed: int, out: Path):
     """Interleaved pairs of one workload; its JSON entry and the machine facts."""
     base, head = (Side(side, roots[side], name, seed, out / name) for side in ("base", "head"))
@@ -166,6 +176,7 @@ def bench(name: str, roots: dict, pairs: int, seed: int, out: Path):
              "head": _summary(head), "head_lower_pairs": _lower_pairs(base, head),
              "head_higher_pairs": {"work_per_s": _below(_rates(base), _rates(head))}}
     entry["gain_met"] = _gain_met(entry["base"], entry["head"], entry["head_lower_pairs"], pairs)
+    entry["median_ratio"] = _median_ratios(entry["base"], entry["head"])
     return entry, machine
 
 

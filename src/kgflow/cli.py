@@ -4,8 +4,9 @@ Every run reads a scenario file (or a bundled scenario name), performs
 one analysis, and writes CSV/JSON artifacts under --out.  Float cells
 use 17 significant digits and newline-terminated rows, so identical
 inputs produce byte-identical files.  Exit codes: 0 success, 1
-validation failure, 2 usage or input error, 3 domain error such as
-conditioning on a zero-probability outcome.
+validation failure, 2 usage or input error (an input too large to
+allocate among them), 3 domain error such as conditioning on a
+zero-probability outcome.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"kg-flow: domain error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"kg-flow: {err}", file=sys.stderr)
         return 2
 

@@ -49,8 +49,18 @@ class DensityInterval:
 
 
 def _current_from(psi, d0, d1):
-    """j^a = Im(conj(d^a psi) psi), elementwise."""
-    return np.imag(np.conj(d0) * psi), np.imag(np.conj(d1) * psi)
+    """j^a = Im(conj(d^a psi) psi), elementwise, as float arrays (float scalars for scalars).
+
+    Each product is formed in place and only its imaginary part kept, so no
+    complex product outlives the call.
+    """
+
+    def imag_part(d):
+        product = np.conj(d)
+        product *= psi
+        return product.imag.copy()
+
+    return imag_part(d0), imag_part(d1)
 
 
 def current_grid(state: SpectralState, t: float, xs):

@@ -19,8 +19,8 @@ between off Taylor jets of psi (trajectories._Jets); the public
 evaluators take positions, never a table.  One factored form of the
 positions keeps the table small: a Lattice, events each shifted by the
 same spacetime offsets (a uniform x-grid, or validation's finite
-differences), builds one table for the events and one for the offsets,
-since exp(-i(p0 t - p x)) splits over sums.  A table, and so any
+differences), builds one table for the events and one for each block of
+offsets, since exp(-i(p0 t - p x)) splits over sums.  A table, and so any
 evaluation, raises DomainError past the grid's resolvable range, and a
 conditioned one CausalOrderError at a time after its measurement time T.
 States are immutable after construction; every evaluation is a pure
@@ -351,37 +351,56 @@ def _plane_wave_sum(state: SpectralState, t: float, xs, matrix, T: float | None 
     evaluation passes its measurement time T: an evaluation time after T
     raises CausalOrderError, checked before the range.
 
-    xs may instead be a Lattice of events at m offsets; the result then
-    has its n points as rows.  exp(-i(p0 (t + dt) - p (x + dx))) splits
-    into an (m, K) offset table A and an (n_e, K) event table B, and
-    _factored_product takes it from there.  A scalar t goes into A and a
-    per-event t into B.
+    xs may instead be a Lattice of events at offsets; the result then has
+    its n points as rows, and _lattice_sum evaluates them.
     """
     _require_resolvable(state, *_points(t, xs), T)
     if not isinstance(xs, Lattice):
         return _table_product(_phase_table_core(state, t, xs), matrix)
-    x, dt, dx, n = xs
-    t_a, t_b = (dt, t) if np.ndim(t) else (t + dt, 0.0)
-    tables = _phase_table_core(state, t_a, dx), _phase_table_core(state, t_b, x)
     flat = matrix.reshape(state.momenta.size, -1)
-    return _factored_product(*tables, flat, n).reshape((n,) + matrix.shape[1:])
+    return _lattice_sum(state, t, xs, flat).reshape((xs.n,) + matrix.shape[1:])
 
 
-def _factored_product(a_table, b_table, flat, n: int):
-    """Rows a n_b + b < n of the table A[a] B[b] times flat (K, m), from A (n_a, K) and B (n_b, K).
+# offsets per block of _lattice_sum.  A block's product rounds as one product over
+# all offsets only at some widths: bench/same_outputs.py finds the CLI's artifacts
+# byte-identical at 4, 8, 12, 16, 24, 32 and 64 and not at 19 (OpenBLAS 0.3.31, Haswell)
+_OFFSET_BLOCK = 16
 
-    (n_a + n_b) K exponentials build A and B instead of n_a n_b K.  A
-    narrow matrix (m < n_b) takes the fold: A goes into the matrix (n_a K m
-    multiplies) and one product B @ C builds no n x K table.  A wide one
-    takes the product table A[a] B[b], n K complex multiplies, times the
-    matrix.
+
+def _lattice_sum(state: SpectralState, t, lattice: Lattice, flat):
+    """The lattice's n points times flat (K, m), as (n, m) rows, one block of offsets at a time.
+
+    exp(-i(p0 (t + dt) - p (x + dx))) splits into an offset table A (n_a, K)
+    and an event table B (n_b, K): (n_a + n_b) K exponentials instead of
+    n_a n_b K.  A scalar t goes into A and a per-event t into B.  B is
+    built once; each block of _OFFSET_BLOCK offsets builds its rows of A.
+    A narrow matrix (m < n_b) then takes the fold: A's rows go into the
+    matrix (K m multiplies per offset) and one product B @ C builds no
+    n_b x K table per offset.  A wide one takes the product table A[a] B[b]
+    (n_b K complex multiplies per offset) times the matrix.  Each block's
+    rows go straight into the result, so a call holds B, one block and the
+    result.
     """
-    k = flat.shape[0]
-    if flat.shape[1] >= b_table.shape[0]:
-        return (a_table[:, None, :] * b_table[None, :, :]).reshape(-1, k)[:n] @ flat
-    folded = np.multiply(a_table.T[:, :, None], flat[:, None, :], order="C")  # (K, n_a, m)
-    out = (b_table @ folded.reshape(k, -1)).reshape(b_table.shape[0], a_table.shape[0], -1)
-    return out.transpose(1, 0, 2).reshape(-1, flat.shape[1])[:n]
+    x, dt, dx, n = lattice
+    t_a, t_b = (dt, t) if np.ndim(t) else (t + dt, 0.0)
+    b_table = _phase_table_core(state, t_b, x)
+    (k, m), n_b = flat.shape, x.size
+    n_a = -(-n // n_b)  # the offsets that hold one of the n points
+    out = np.empty((n, m), dtype=complex)
+    for lo in range(0, max(n_a - 1, 1), _OFFSET_BLOCK):
+        # a last block of one offset joins the one before, where a lone column or row
+        # would take BLAS's matrix-vector product and round unlike the whole lattice
+        hi = n_a if lo + _OFFSET_BLOCK >= n_a - 1 else lo + _OFFSET_BLOCK
+        rows = slice(lo * n_b, min(hi * n_b, n))
+        a_table = _phase_table_core(state, t_a[lo:hi], dx[lo:hi])
+        if m >= n_b:
+            product = (a_table[:, None, :] * b_table[None, :, :]).reshape(-1, k)
+            np.matmul(product[: rows.stop - rows.start], flat, out=out[rows])
+        else:
+            folded = np.multiply(a_table.T[:, :, None], flat[:, None, :], order="C")  # (K, a, m)
+            block = (b_table @ folded.reshape(k, -1)).reshape(n_b, -1, m)
+            out[rows] = block.transpose(1, 0, 2).reshape(-1, m)[: rows.stop - rows.start]
+    return out
 
 
 def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:

@@ -203,6 +203,16 @@ def test_too_few_samples_exit_code(tmp_path, capsys, args, message):
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_unallocatable_input_is_an_input_error(tmp_path, capsys):
+    # numpy refuses the lattice's exabyte arrays before it touches any memory
+    rc = main(["density", "--scenario", "s1_negative_density", "--n-x", "1" + "0" * 36,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kg-flow: Unable to allocate") and err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_trajectories_seed_outside_box(tmp_path):
     rc = main([
         "trajectories", "--scenario", "s1_negative_density",

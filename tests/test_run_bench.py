@@ -1,18 +1,23 @@
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "run_bench.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def run_bench():
-    spec = importlib.util.spec_from_file_location("run_bench", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("run_bench")
 
 
 def _sides(run_bench, base_median, head_median, lower):
@@ -89,3 +94,27 @@ def test_head_higher_rate_pairs_skip_failed_pairs(run_bench):
     head = _side(run_bench, [1.0, None, 2.0, 1.0], [20, None, 10, 30])
     # pair 0 is higher; pair 1 lost head's sample, pair 3 base's; pair 2 is lower
     assert run_bench._below(run_bench._rates(base), run_bench._rates(head)) == 1
+
+
+def test_median_ratios_are_head_over_base(run_bench):
+    base, head, _ = _sides(run_bench, 1.0, 0.25, 20)
+    base["work_per_s"], head["work_per_s"] = 4.0, 5.0
+    head["setup_s"] = None
+    ratios = run_bench._median_ratios(base, head)
+    assert ratios == {"setup_s": None, "wall_s": 0.25, "peak_rss_mb": 0.25, "work_per_s": 1.25}
+
+
+def test_same_outputs_drops_only_the_seconds_of_a_report():
+    same_outputs = _load("same_outputs")
+
+    def report(seconds, value):
+        checks = {name: {"pass": True, "seconds": seconds, "value": value} for name in "ab"}
+        return json.dumps({"all_pass": True, "checks": checks}).encode()
+
+    normalised = same_outputs.normalised
+    name = "validation_report.json"
+    assert normalised(name, report(0.5, 1e-13)) == normalised(name, report(0.25, 1e-13))
+    assert normalised(name, report(0.5, 1e-13)) != normalised(name, report(0.5, 2e-13))
+    assert b"seconds" not in normalised(name, report(0.5, 1e-13))
+    # any other artifact is compared as written
+    assert normalised("density.csv", b"x,j0\n0,1\n") == b"x,j0\n0,1\n"

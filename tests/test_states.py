@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgflow import (
@@ -23,7 +25,9 @@ from kgflow._quad import gauss_panels
 from kgflow.conditional import conditional_current_grid, weighted_integrand_grid
 from kgflow.current import current_grid
 from kgflow.newton_wigner import nw_density_grid
+from kgflow.scenarios import build_state
 from kgflow.states import (
+    _OFFSET_BLOCK,
     Lattice,
     SpectralState,
     _phase_table,
@@ -363,10 +367,16 @@ def _floats(lo, hi, size):
 
 @st.composite
 def _lattices(draw):
-    """(t, Lattice) near s1's packets: events within them, offsets that may pass T or the range."""
-    n_e, n_off = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    """(t, Lattice) near s1's packets: events within them, offsets that may pass T or the range.
+
+    Up to three of the kernel's blocks of offsets, the last one maybe partial,
+    and n may cut the last offset's row of events.
+    """
+    n_e, n_off = draw(st.integers(2, 6)), draw(st.integers(1, 3 * _OFFSET_BLOCK))
     x = draw(_floats(-6.0, 6.0, n_e))
-    dt, dx = draw(_floats(-2.5, 2.5, n_off)), draw(_floats(-90.0, 90.0, n_off))
+    # offsets near the events, so that a long lattice evaluates, or far enough to raise
+    dt_max, dx_max = draw(st.sampled_from([(0.1, 1.0), (2.5, 90.0)]))
+    dt, dx = draw(_floats(-dt_max, dt_max, n_off)), draw(_floats(-dx_max, dx_max, n_off))
     # the first offset is the events themselves, which hold the evaluation's peak
     lattice = Lattice(x, np.r_[0.0, dt], np.r_[0.0, dx], draw(st.integers(1, (n_off + 1) * n_e)))
     t = draw(st.floats(-2.0, 2.0) | _floats(-2.0, 2.0, n_e))
@@ -390,6 +400,14 @@ def s1_outcomes(s1_state):
 # one column folds into the offset table (m < n_e); six take the product table
 @pytest.mark.parametrize("m", [1, 6])
 @given(drawn=_lattices())
+# three blocks, the last of 3 offsets, and n cuts the last offset's row of 5 events after 3
+@example(drawn=(0.5, Lattice(np.linspace(-3.0, 3.0, 5), np.linspace(0.0, 0.1, 2 * _OFFSET_BLOCK + 3),
+                             np.linspace(0.0, 1.0, 2 * _OFFSET_BLOCK + 3),
+                             (2 * _OFFSET_BLOCK + 2) * 5 + 3)))
+# one offset past a block joins it; one time per event
+@example(drawn=(np.linspace(-1.0, 1.0, 4), Lattice(
+    np.linspace(-3.0, 3.0, 4), np.zeros(_OFFSET_BLOCK + 1),
+    np.linspace(-1.0, 1.0, _OFFSET_BLOCK + 1), (_OFFSET_BLOCK + 1) * 4)))
 def test_lattice_evaluates_its_points(s1_state, s1_outcomes, m, drawn):
     t, lattice = drawn
     ts, xs = _stencil_points(t, lattice)
@@ -404,6 +422,21 @@ def test_lattice_evaluates_its_points(s1_state, s1_outcomes, m, drawn):
         for got, ref in zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]:
             assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
+
+
+def test_lattice_memory_bounded_by_block(s1_scenario):
+    # the kernel holds the event table, one block of offsets and the (n, 3) result, and
+    # the currents keep no complex product: whole-lattice temporaries took 28.4 MB here
+    state = build_state(s1_scenario)
+    xs = uniform_lattice(-14.0, 14.0, 200001)
+    current_grid(state, 0.0, uniform_lattice(-14.0, 14.0, 101))  # fill the state's caches
+    tracemalloc.start()
+    try:
+        current_grid(state, 0.0, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
 
 
 def test_lattice_kernel_gauss_panels(s1_state):
