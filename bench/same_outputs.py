@@ -9,12 +9,16 @@ from that side's src; each artifact it writes is then compared across the
 sides:
 
 - density.csv of s1_negative_density at --n-x 20001 (three times) and at
-  --n-x 1000001 (t = 0);
+  --n-x 1000001 (t = 0), and of each bundled scenario at the density
+  subcommand's defaults;
 - validation_report.json of s1_conditional, single_rest and
   single_boosted, after dropping each check's `seconds`, the time the
   check took;
-- trajectories.csv and trajectories_summary.json of perfbench's
-  `portrait` operations 0-2 at seed 11 (the index's argv on both sides);
+- trajectories.csv and trajectories_summary.json of each bundled scenario
+  at the trajectories subcommand's defaults (its fan of seeds), of the
+  conditional seeds 0,1,3, 0.5,2,6 and -1,0,0 on s1_conditional, one run
+  each, and of perfbench's `portrait` operations 0-2 at seed 11 (the
+  index's argv on both sides);
 - kernel.csv at the kernel subcommand's defaults.
 
 One line per artifact says "same" or "different"; the exit code is 1 on
@@ -47,6 +51,9 @@ run_bench = _load("run_bench", HERE / "run_bench.py")
 
 DENSITY = [("20001", t) for t in ("-4.00643355463875", "0", "3.7")] + [("1000001", "0")]
 VALIDATE = ("s1_conditional", "single_rest", "single_boosted")
+BUNDLED = ("single_rest", "single_boosted", "s1_negative_density", "s1_conditional")
+CONDITIONAL_SEEDS = ("0,1,3", "0.5,2,6", "-1,0,0")
+TRAJECTORIES = ["trajectories.csv", "trajectories_summary.json"]
 
 
 def commands(root: Path) -> list:
@@ -55,12 +62,19 @@ def commands(root: Path) -> list:
     runs = [(f"density n_x={n} t={t}",
              ["density", "--scenario", "s1_negative_density", "--n-x", n, f"--t={t}", *out],
              ["density.csv"]) for n, t in DENSITY]
+    runs += [(f"density {name}", ["density", "--scenario", name, *out], ["density.csv"])
+             for name in BUNDLED]
     runs += [(f"validate {name}", ["validate", "--scenario", name, *out],
               ["validation_report.json"]) for name in VALIDATE]
+    runs += [(f"trajectories {name}", ["trajectories", "--scenario", name, *out], TRAJECTORIES)
+             for name in BUNDLED]
+    runs += [(f"trajectories s1_conditional seed {seed}",
+              ["trajectories", "--scenario", "s1_conditional", f"--seed={seed}", *out],
+              TRAJECTORIES) for seed in CONDITIONAL_SEEDS]
     data = root / "src" / "kgflow" / "data"
     portrait = run_bench._perfbench(root).WORKLOADS["portrait"](data, False)
     runs += [(f"portrait seed 11 operation {i}", portrait.argv(11, i, Path("DIR")),
-              ["trajectories.csv", "trajectories_summary.json"]) for i in range(3)]
+              TRAJECTORIES) for i in range(3)]
     runs.append(("kernel", ["kernel", "--scenario", "s1_negative_density", *out], ["kernel.csv"]))
     return runs
 

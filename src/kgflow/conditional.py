@@ -93,8 +93,7 @@ def _outcome_states(template: SpectralState, qs, T: float):
     row per q, are the conjugated phase table: position amplitudes at
     t = T concentrated near x = q.  Against the template, which is the
     prepared state, <f|i> is its Newton-Wigner amplitude at (q, T), read
-    off the same table.  A q with |q| + |T| past the grid's range, or a NaN
-    q, raises DomainError.
+    off the same table.  A q past the template's range rule, or a NaN q, raises DomainError.
     """
     table = _phase_table(template, T, qs)
     b = INV_SQRT_2PI * np.sqrt(template.energies) * np.conj(table)

@@ -20,8 +20,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .conditional import OutcomeEnsemble, make_outcome_ensemble
-from .errors import ScenarioError
-from .states import GridSpec, SpectralState, _edge_envelope, make_gaussian_packet, superpose
+from .errors import DomainError, ScenarioError
+from .states import (
+    GridSpec, SpectralState, _edge_envelope, _packet_reach, _require_in_range,
+    make_gaussian_packet, superpose,
+)
 from .trajectories import Box
 
 BUNDLED_NAMES = ("single_rest", "single_boosted", "s1_negative_density", "s1_conditional")
@@ -42,11 +45,6 @@ class PacketSpec:
     @property
     def coeff(self) -> complex:
         return complex(self.coeff_re, self.coeff_im)
-
-    @property
-    def spread(self) -> float:
-        """Seven spatial standard deviations, 7 / (2 p_width): where the packet's mass ends."""
-        return 7.0 / (2.0 * self.p_width)
 
 
 @dataclass(frozen=True)
@@ -173,33 +171,17 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             raise ScenarioError("final.n_q must be at least 2")
         final = FinalSpec(**f)
 
-    # evaluations beyond the grid's resolvable range return aliasing noise
+    # the kernel's range rule on each packet's reach, whose union is the built state's
     bound = grid.resolvable_range
-    reach = max(abs(box.x_lo), abs(box.x_hi)) + max(abs(box.t_lo), abs(box.t_hi))
-    if reach > bound:
-        raise ScenarioError(
-            f"box reach max|x| + max|t| = {reach:g} exceeds the grid's resolvable "
-            f"range {bound:.1f}"
-        )
-    if final is not None and max(abs(final.q_lo), abs(final.q_hi)) + abs(final.T) > bound:
-        raise ScenarioError(
-            f"final outcome range [{final.q_lo:g}, {final.q_hi:g}] at T = {final.T:g} "
-            f"exceeds the grid's resolvable range {bound:.1f}"
-        )
-
-    # a packet's carrier exp(-i p x_center) measures its sum's reach from x_center, and
-    # its mass spreads about that
-    spans = [("box", box.x_lo, box.x_hi, max(abs(box.t_lo), abs(box.t_hi)))]
+    spans = [("box", [box.t_lo, box.t_lo, box.t_hi, box.t_hi], [box.x_lo, box.x_hi] * 2)]
     if final is not None:
-        spans.append(("final outcome", final.q_lo, final.q_hi, abs(final.T)))
+        spans.append(("final outcome", final.T, [final.q_lo, final.q_hi]))
     for i, pk in enumerate(packets):
-        for what, lo, hi, t in spans:
-            reach = max(abs(lo - pk.x_center), abs(hi - pk.x_center)) + t + pk.spread
-            if reach > bound:
-                raise ScenarioError(
-                    f"packets[{i}]: {what} reach |x - x_center| + |t| + 7/(2 p_width) = "
-                    f"{reach:g} exceeds the grid's resolvable range {bound:.1f}"
-                )
+        for what, t, x in spans:
+            try:
+                _require_in_range(_packet_reach(pk.x_center, pk.p_width), bound, t, x)
+            except DomainError as err:
+                raise ScenarioError(f"packets[{i}]: {what} reach {err}") from err
 
     return Scenario(
         name=name, mass=top["mass"], packets=tuple(packets), grid=grid, box=box, final=final

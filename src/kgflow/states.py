@@ -21,8 +21,8 @@ positions keeps the table small: a Lattice, events each shifted by the
 same spacetime offsets (a uniform x-grid, or validation's finite
 differences), builds one table for the events and one for each block of
 offsets, since exp(-i(p0 t - p x)) splits over sums.  A table, and so any
-evaluation, raises DomainError past the grid's resolvable range, and a
-conditioned one CausalOrderError at a time after its measurement time T.
+evaluation, raises DomainError past the resolvable range from the state's
+reach, and a conditioned one CausalOrderError at a time after its T.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -87,7 +87,7 @@ class GridSpec:
 
     @property
     def resolvable_range(self) -> float:
-        """The largest |x| + |t| at which a plane-wave sum on this grid resolves."""
+        """The largest max(|x - lo|, |x - hi|) + |t| resolved, for a state's reach (lo, hi)."""
         return _resolvable_range(
             gauss_panels(self.p_min, self.p_max, self.panels, self.nodes_per_panel)[0]
         )
@@ -97,8 +97,8 @@ def _resolvable_range(momenta) -> float:
     """pi / (largest node gap): beyond it the quadrature returns aliasing noise.
 
     The phase p x - p0 t must advance by less than pi between adjacent
-    nodes.  Its derivative in p is x - v t with |v| < 1, so
-    |x| + |t| <= pi / max gap covers every time.
+    nodes.  Its derivative in p is x - x' - v t with |v| < 1 for mass at x',
+    so |x - x'| + |t| <= pi / max gap over the state's reach covers every time.
     """
     return float(np.pi / np.diff(momenta).max())
 
@@ -114,6 +114,7 @@ class SpectralState:
     amplitudes : complex a(p_k) on the last axis; a leading axis stacks
         states that share the grid (an outcome ensemble's backward states).
     weights : quadrature weights including the invariant 1/p0 factor.
+    reach : positions (lo, hi) that hold the mass at t = 0; the range rule's origin.
 
     The energies p0_k = sqrt(p_k^2 + mass^2) are derived, never given.
     """
@@ -122,6 +123,7 @@ class SpectralState:
     momenta: np.ndarray
     amplitudes: np.ndarray
     weights: np.ndarray
+    reach: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if not 0 < self.mass < np.inf:
@@ -134,6 +136,15 @@ class SpectralState:
             if not np.all(np.isfinite(arr.view(float))):
                 raise ValueError("state arrays must be finite")
             arr.setflags(write=False)
+        if not -np.inf < self.reach[0] <= self.reach[1] < np.inf:
+            raise ValueError("reach must be finite, lo <= hi")
+
+    def __repr__(self):  # without the arrays, whose repr runs to tens of kB
+        return (f"SpectralState(mass={self.mass:g}, K={self.momenta.size}, p=[{self.momenta[0]:g}, "
+                f"{self.momenta[-1]:g}], reach={self.reach})")
+
+    def _repr_pretty_(self, printer, cycle):  # hypothesis would print a dataclass by field
+        printer.text(repr(self))
 
     @cached_property
     def energies(self) -> np.ndarray:
@@ -164,18 +175,15 @@ def _kernel_matrix(state: SpectralState, coeffs):
     return (weights * coeffs.reshape(k, -1)).reshape(coeffs.shape)
 
 
-def _freeze(mass, momenta, amplitudes, weights) -> SpectralState:
-    return SpectralState(
-        mass=float(mass),
-        momenta=np.array(momenta, dtype=float),
-        amplitudes=np.array(amplitudes, dtype=complex),
-        weights=np.array(weights, dtype=float),
-    )
-
-
 def invariant_norm(state: SpectralState) -> float:
     """Norm under the invariant measure, sqrt(sum w |a|^2)."""
     return float(np.sqrt(np.sum(state.weights * np.abs(state.amplitudes) ** 2)))
+
+
+def _packet_reach(x_center: float, p_width: float):
+    """(lo, hi) = x_center -/+ 7 / (2 p_width): a Gaussian packet's mass ends 7 sigma out."""
+    spread = 7.0 / (2.0 * p_width)
+    return x_center - spread, x_center + spread
 
 
 def _edge_envelope(p_center: float, p_width: float, grid: GridSpec) -> float:
@@ -195,9 +203,9 @@ def make_gaussian_packet(
     """Build a normalized Gaussian wave packet in momentum space.
 
     The amplitude is a(p) = exp(-(p - p_center)^2 / (4 p_width^2))
-    * exp(-i p x_center), normalized to unit invariant norm.  Raises
-    TruncationError when the grid endpoints clip the envelope above
-    1e-8 of its peak (disable with check_truncation=False).
+    * exp(-i p x_center), normalized to unit invariant norm, with reach
+    x_center +/- 7/(2 p_width).  Raises TruncationError when the grid ends
+    clip the envelope above 1e-8 of its peak (unless check_truncation=False).
     """
     if not mass > 0:
         raise ValueError("mass must be positive")
@@ -221,7 +229,7 @@ def make_gaussian_packet(
     w = gl_w / p0
     a = np.exp(-((p - p_center) ** 2) / (4 * p_width**2)) * np.exp(-1j * p * x_center)
     a /= np.sqrt(np.sum(w * np.abs(a) ** 2))
-    return _freeze(mass, p, a, w)
+    return SpectralState(float(mass), p, a, w, _packet_reach(x_center, p_width))
 
 
 def _require_same_grid(a: SpectralState, b: SpectralState):
@@ -239,7 +247,7 @@ def superpose(states, coeffs) -> SpectralState:
     """Combine states on a shared grid, then renormalize.
 
     Amplitudes become sum_j c_j a_j(p) scaled back to unit invariant
-    norm, so only the relative coefficients matter.
+    norm, so only the relative coefficients matter.  The reach is their union.
     """
     if len(states) == 0:
         raise ValueError("need at least one state")
@@ -254,7 +262,8 @@ def superpose(states, coeffs) -> SpectralState:
     if norm_sq < 1e-24:
         raise DegenerateStateError("superposition cancelled to the zero state")
     acc /= np.sqrt(norm_sq)
-    return _freeze(first.mass, first.momenta, acc, first.weights)
+    reach = min(st.reach[0] for st in states), max(st.reach[1] for st in states)
+    return SpectralState(first.mass, first.momenta, acc, first.weights, reach)
 
 
 def inner(a: SpectralState, b: SpectralState) -> complex:
@@ -303,13 +312,22 @@ def _require_before(times, T: float):
         raise CausalOrderError(f"evaluation time {t_last} lies after measurement time {T}")
 
 
+def _require_in_range(reach, bound: float, t, xs):
+    """DomainError unless max(|x - lo|, |x - hi|) + |t| <= bound, as |x - c| + |t| + h."""
+    lo, hi = reach
+    dist = np.abs(np.subtract(xs, 0.5 * (lo + hi)))  # for a point, numpy scalars
+    dist += np.abs(t)
+    dist += 0.5 * (hi - lo)
+    if not (dist <= bound).all():  # a NaN position fails here too
+        raise DomainError(f"|t| + |x - far end of [{lo:g}, {hi:g}]| = {np.max(dist):g} "
+                          f"is beyond resolvable range {bound:.1f}")
+
+
 def _require_resolvable(state: SpectralState, t, xs, T: float | None = None):
-    """DomainError unless each |x| + |t| is in the state's range; CausalOrderError first past T."""
+    """The range rule from the state's reach; CausalOrderError first past T, when given."""
     if T is not None:
         _require_before(t, T)
-    reach, bound = np.abs(xs) + np.abs(t), state._resolvable_range
-    if not np.all(reach <= bound):  # a NaN position fails here too
-        raise DomainError(f"|x| + |t| = {np.max(reach):g} is beyond resolvable range {bound:.1f}")
+    _require_in_range(state.reach, state._resolvable_range, t, xs)
 
 
 def _phase_table(state: SpectralState, t, xs):

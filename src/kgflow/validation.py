@@ -24,7 +24,7 @@ from .current import _DIVERGENCE_OFFSETS, _divergence, central_divergence, curre
 from .errors import ScenarioError
 from .newton_wigner import KernelMode, bessel_k0, nw_density_grid, position_kernel
 from .scenarios import Scenario, build_ensemble, build_state, truncation_defect
-from .states import Event, Lattice, uniform_lattice
+from .states import Event, Lattice, _packet_reach, uniform_lattice
 
 TOLERANCES = {
     "momentum_truncation": 1e-8,
@@ -194,22 +194,22 @@ def _support_bounds(scenario: Scenario, t_max: float, margin: float, points):
     los, his = list(points), list(points)
     for pk in scenario.packets:
         v = pk.p_center / np.hypot(pk.p_center, scenario.mass)
-        reach = abs(v) * t_max + pk.spread
-        los.append(pk.x_center - reach)
-        his.append(pk.x_center + reach)
+        lo, hi = _packet_reach(pk.x_center, pk.p_width)
+        los.append(lo - abs(v) * t_max)
+        his.append(hi + abs(v) * t_max)
     return min(los) - margin, max(his) + margin
 
 
 def _window(state, lo: float, hi: float, t_max: float):
-    """Trapezoid nodes (a Lattice) and weights on [lo, hi], clipped to |x| + t_max in range.
+    """Trapezoid nodes (a Lattice) and weights on [lo, hi], clipped to the range rule at t_max.
 
     Products of two fields on the momentum grid are band-limited to p_K - p_1, so
     the trapezoid rule at a spacing below 2 pi / (p_K - p_1) is exact up to the
     window's truncation; this spacing is at most half that.  The clip leaves a
     relative 1e-12 of headroom, since the lattice's last point may round past hi.
     """
-    reach = (state._resolvable_range - t_max) * (1.0 - 1e-12)
-    lo, hi = max(lo, -reach), min(hi, reach)
+    room = (state._resolvable_range - t_max) * (1.0 - 1e-12)  # from the far end of the reach
+    lo, hi = max(lo, state.reach[1] - room), min(hi, state.reach[0] + room)
     n = int(np.ceil((hi - lo) * (state.momenta[-1] - state.momenta[0]) / np.pi)) + 1
     return uniform_lattice(lo, hi, n), trapezoid_weights(n, (hi - lo) / (n - 1))
 

@@ -126,24 +126,27 @@ def test_trajectories_zero_probability_outcome(tmp_path, capsys):
 
 
 def test_density_beyond_resolvable_range_is_domain_error(tmp_path, capsys):
-    # max|x| + |t| past pi / (max node gap) of the grid would sample aliasing noise
+    # past pi / (max node gap) of the grid, 86.71, the sum would sample aliasing noise.  The
+    # rule measures from the packet's reach [-14, 14], so the box's max|x| = 10 takes |t| up
+    # to 86.71 - 24 = 62.71; -76, which |x| + |t| let pass, is refused
     out = tmp_path / "out"
-    for t in ("1e9", "-77"):
+    for t in ("1e9", "-76", "-62.72"):
         rc = main(["density", "--scenario", "single_rest", "--out", str(out), f"--t={t}"])
         assert rc == 3
         assert "resolvable range 86.7" in capsys.readouterr().err
         assert not (out / "density.csv").exists()
-    rc = main(["density", "--scenario", "single_rest", "--out", str(out), "--t=-76"])
+    rc = main(["density", "--scenario", "single_rest", "--out", str(out), "--t=-62.7"])
     assert rc == 0
 
 
 def test_kernel_beyond_resolvable_range_is_domain_error(tmp_path, capsys):
     # single_boosted's box is x in [-8, 10] and its density lattice's last coarse row sits at
-    # 9.955: at this t only the points past that row reach beyond the bound
+    # 9.955; its packet's reach is [-14, 14]: at this t only the points past that row reach
+    # beyond the bound
     bound = load_scenario("single_boosted").grid.resolvable_range
     out = tmp_path / "out"
     rc = main(["density", "--scenario", "single_boosted", "--out", str(out),
-               f"--t={9.98 - bound!r}"])
+               f"--t={9.98 + 14.0 - bound!r}"])
     assert rc == 3
     assert "resolvable range" in capsys.readouterr().err
     assert not (out / "density.csv").exists()

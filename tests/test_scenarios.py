@@ -2,18 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from kgflow import (
-    Box, GridSpec, ScenarioError, TruncationError, load_scenario, make_final_outcome,
+    Box, DomainError, GridSpec, ScenarioError, TruncationError, load_scenario, make_final_outcome,
 )
 from kgflow._quad import gauss_panels
+from kgflow.current import current_grid
 from kgflow.scenarios import (
     BUNDLED_NAMES,
+    PacketSpec,
+    Scenario,
     build_ensemble,
     build_state,
     scenario_from_dict,
     truncation_defect,
 )
+from kgflow.states import _packet_reach, _require_resolvable
 
 GOOD = {
     "name": "probe",
@@ -107,27 +113,31 @@ def test_reach_beyond_resolvable_range_rejected():
     bound = GridSpec(**GOOD["grid"]).resolvable_range
     gaps = np.diff(gauss_panels(-3.0, 3.0, 8, 32)[0])
     assert bound == pytest.approx(np.pi / gaps.max(), rel=1e-15)
-    # max|x| + max|t| of the box, with either end the farther one; the packet sits
-    # toward that end, so that the box's own reach is what counts
-    for x_center, box in ((40.0, {"t_lo": -1.0, "t_hi": 2.0, "x_lo": -8.0, "x_hi": bound - 1.5}),
-                          (-40.0, {"t_lo": -2.0, "t_hi": 1.0, "x_lo": 1.5 - bound, "x_hi": 8.0})):
-        raw = clone(packets=[dict(GOOD["packets"][0], x_center=x_center)])
-        with pytest.raises(ScenarioError, match="resolvable range"):
-            scenario_from_dict(dict(raw, box=box))
-        box = dict(box, t_lo=-1.0, t_hi=1.0)
-        assert scenario_from_dict(dict(raw, box=box)).box == Box(**box)
-    # the ensemble evaluates every q at T = 2, so max|q| + |T| must stay within the bound
-    for q_lo, q_hi in ((-1.0, bound - 1.5), (1.5 - bound, 1.0)):
-        with pytest.raises(ScenarioError, match="resolvable range"):
-            scenario_from_dict(clone(final={"T": 2.0, "q_lo": q_lo, "q_hi": q_hi, "n_q": 9}))
-    for edge in (2.0 - bound, bound - 2.0):
-        final = {"T": 2.0, "q_lo": min(edge, 0.0), "q_hi": max(edge, 0.0), "n_q": 9}
-        packet = dict(GOOD["packets"][0], x_center=np.copysign(40.0, edge))
-        sc = scenario_from_dict(clone(packets=[packet], final=final))
-        assert max(-sc.final.q_lo, sc.final.q_hi) == bound - 2.0
-        # the kernel accepts the loader's edge outcomes
-        make_final_outcome([sc.final.q_lo, sc.final.q_hi], sc.final.T, build_state(sc))
-    # the bundled scenarios reach 11 to 19 on grids that resolve about 84 and 87
+    # the rule measures from the packet's reach, x_center +/- 14, not from x = 0.  With the
+    # packet at +/-40, a box corner or an outcome at |t| = 2 loads 1e-9 inside the edge
+    # |x - x_center| + |t| + 14 = bound, though its |x| + |t| passes the bound by 24, and
+    # 1e-9 past the edge the loader refuses it; the kernel draws the same line
+    for sign in (1.0, -1.0):
+        packets = [dict(GOOD["packets"][0], x_center=40.0 * sign)]
+        state = build_state(scenario_from_dict(clone(packets=packets)))
+        edge = sign * (40.0 + bound - 16.0)
+        for inset in (1e-9, -1e-9):
+            end = edge - sign * inset
+            box = {"t_lo": -2.0, "t_hi": 1.0, "x_lo": min(end, 0.0), "x_hi": max(end, 0.0)}
+            final = {"T": 2.0, "q_lo": min(end, 0.0), "q_hi": max(end, 0.0), "n_q": 9}
+            for block, what in (({"box": box}, "box"), ({"final": final}, "final outcome")):
+                raw = clone(packets=packets, **block)
+                if inset > 0:
+                    scenario_from_dict(raw)
+                else:
+                    with pytest.raises(ScenarioError, match=rf"packets\[0\]: {what} reach "):
+                        scenario_from_dict(raw)
+            if inset > 0:
+                make_final_outcome([end], 2.0, state)
+            else:
+                with pytest.raises(DomainError, match="beyond resolvable range 86.7"):
+                    make_final_outcome([end], 2.0, state)
+    # the bundled scenarios' grids resolve about 84 and 87
     for name in BUNDLED_NAMES:
         expected = 83.9 if name.startswith("s1_") else 86.7
         assert load_scenario(name).grid.resolvable_range == pytest.approx(expected, abs=0.05)
@@ -142,7 +152,7 @@ def test_packet_reach_beyond_resolvable_range_rejected():
         box = dict(GOOD["box"], **{end: x_center + sign * (edge - 1e-9)})
         assert scenario_from_dict(dict(raw, box=box)).box == Box(**box)
         box[end] += sign * 2e-9
-        with pytest.raises(ScenarioError, match=r"packets\[0\]: box reach .* exceeds the grid's"):
+        with pytest.raises(ScenarioError, match=r"packets\[0\]: box reach .* beyond resolvable"):
             scenario_from_dict(dict(raw, box=box))
     # the final outcomes, at T = 2, measured from the second packet
     packets = [GOOD["packets"][0], dict(GOOD["packets"][0], x_center=-40.0)]
@@ -156,11 +166,63 @@ def test_packet_reach_beyond_resolvable_range_rejected():
         sc = load_scenario(name)
         t_box = max(-sc.box.t_lo, sc.box.t_hi)
         for pk in sc.packets:
-            reach = max(pk.x_center - sc.box.x_lo, sc.box.x_hi - pk.x_center) + t_box
-            assert reach + pk.spread <= 42.4
+            lo, hi = _packet_reach(pk.x_center, pk.p_width)
+            assert max(hi - sc.box.x_lo, sc.box.x_hi - lo) + t_box <= 42.4
             if sc.final is not None:
-                reach = max(pk.x_center - sc.final.q_lo, sc.final.q_hi - pk.x_center)
-                assert reach + abs(sc.final.T) + pk.spread <= 45.4
+                assert max(hi - sc.final.q_lo, sc.final.q_hi - lo) + abs(sc.final.T) <= 45.4
+
+
+def test_corner_past_the_bound_from_origin_loads_and_resolves():
+    # with a packet at x = 40 the loader refused a box corner at (t, x) = (+/-2, bound - 1.5),
+    # whose |x| + |t| passes the bound; its sum there agrees with 64 panels'
+    bound = GridSpec(**GOOD["grid"]).resolvable_range
+    box = {"t_lo": -2.0, "t_hi": 2.0, "x_lo": -8.0, "x_hi": bound - 1.5}
+    raw = clone(packets=[dict(GOOD["packets"][0], x_center=40.0)], box=box)
+    state = build_state(scenario_from_dict(raw))
+    ref = build_state(scenario_from_dict(dict(raw, grid=dict(GOOD["grid"], panels=64))))
+    peak = np.abs(current_grid(ref, 2.0, np.linspace(20.0, 60.0, 401))[0]).max()
+    for t in (-2.0, 2.0):
+        corner = zip(current_grid(state, t, bound - 1.5), current_grid(ref, t, bound - 1.5))
+        for got, want in corner:
+            assert abs(got - want) <= 1e-13 * peak
+
+
+_SPANS = st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0)).map(sorted)
+
+
+@given(
+    packets=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 0.2), st.floats(-20.0, 20.0)),
+                     min_size=1, max_size=2),
+    panels=st.sampled_from([4, 8, 16]),
+    t=_SPANS.map(lambda ends: [0.25 * e for e in ends]),
+    x=_SPANS,
+    final=st.none() | st.tuples(st.floats(-10.0, 10.0), _SPANS),
+)
+def test_loader_and_kernel_share_one_range_rule(packets, panels, t, x, final):
+    # the loader takes a scenario exactly when the kernel's rule, on the state it builds,
+    # takes the box corners and the outcome ends at T
+    assume(t[0] < t[1] and x[0] < x[1] and (final is None or final[1][0] < final[1][1]))
+    specs = tuple(PacketSpec(pc, pw, xc, 1.0, 0.0) for pc, pw, xc in packets)
+    grid = dict(GOOD["grid"], panels=panels)
+    box = Box(t[0], t[1], x[0], x[1])
+    raw = clone(packets=[vars(pk) for pk in specs], grid=grid, box=vars(box))
+    if final is not None:
+        raw["final"] = {"T": final[0], "q_lo": final[1][0], "q_hi": final[1][1], "n_q": 9}
+    state = build_state(Scenario("drawn", 1.0, specs, GridSpec(**grid), box, None))
+    try:
+        _require_resolvable(state, [t[0], t[0], t[1], t[1]], [x[0], x[1], x[0], x[1]])
+        if final is not None:
+            _require_resolvable(state, final[0], list(final[1]))
+        kernel_takes = True
+    except DomainError:
+        kernel_takes = False
+    try:
+        scenario_from_dict(raw)
+        loader_takes = True
+    except ScenarioError as err:
+        assert "beyond resolvable range" in str(err)
+        loader_takes = False
+    assert loader_takes == kernel_takes
 
 
 def test_build_ensemble_requires_final(rest_scenario, s1_scenario):
@@ -215,12 +277,12 @@ FINAL = {"T": 2.0, "q_lo": -5.0, "q_hi": 5.0, "n_q": 11}
      "grid must carry at least 16 nodes"),
     (("box", "t_hi"), -1.0, "box must have positive extent on both axes"),
     (("box", "x_lo"), 8.0, "box must have positive extent on both axes"),
-    (("box", "x_hi"), 90.0, "box reach max|x| + max|t| = 91 exceeds the grid's resolvable "
-                            "range 86.7"),
+    (("box", "x_hi"), 90.0, "packets[0]: box reach |t| + |x - far end of [-14, 14]| = 105 "
+                            "is beyond resolvable range 86.7"),
     (("final", "q_lo"), 5.0, "final.q_lo must be below final.q_hi"),
     (("final", "n_q"), 1, "final.n_q must be at least 2"),
-    (("final", "q_hi"), 85.0, "final outcome range [-5, 85] at T = 2 exceeds the grid's "
-                              "resolvable range 86.7"),
+    (("final", "q_hi"), 85.0, "packets[0]: final outcome reach |t| + |x - far end of [-14, 14]| "
+                              "= 101 is beyond resolvable range 86.7"),
     ((), [GOOD], "{ctx} must contain a JSON object"),
 ])
 def test_loader_errors_keep_their_messages(tmp_path, keys, value, message):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from kgflow import (
     CausalOrderError,
@@ -178,11 +179,58 @@ def test_lattice_range_check_reads_positions_not_offsets(bundled_states):
 
 
 def test_lattice_range_check_reads_every_position(s1_state):
-    # positions 0, 150, 10: the first and the n-th lie within the bound of 83.9, the second not
-    lattice = Lattice(np.array([0.0, 150.0]), np.zeros(2), np.array([0.0, 10.0]), 3)
+    # s1_state's reach is +/- 7/(2 * 0.15) = 23.33, so at t = 0 the range rule's edge is
+    # |x| = 83.91 - 23.33 = 60.58.  Positions 0, 60.6, 10: the first and the n-th lie inside
+    # it, the second 0.02 past; with 60.5 in its place the lattice evaluates, though the
+    # unread point 60.5 + 10 lies past the edge
+    lattice = Lattice(np.array([0.0, 60.6]), np.zeros(2), np.array([0.0, 10.0]), 3)
     for evaluate in (current_grid, lambda s, t, xs: nw_density_grid(s, xs, t)):
-        with pytest.raises(DomainError, match="150 is beyond resolvable range 83.9"):
+        with pytest.raises(DomainError, match=r"= 83\.9333 is beyond resolvable range 83\.9"):
             evaluate(s1_state, 0.0, lattice)
+        evaluate(s1_state, 0.0, lattice._replace(x=np.array([0.0, 60.5])))
+
+
+def test_state_repr_is_compact(s1_state):
+    # hypothesis prints a failing example's arguments, a dataclass field by field; the
+    # arrays ran to 40 kB and hid the falsifying example behind a warning
+    text = repr(s1_state)
+    assert len(text) < 200
+    assert "K=256" in text and "reach=(-23.3333" in text
+    assert pretty(s1_state) == text
+
+
+def test_reach_follows_packets_and_superposition():
+    grid = GridSpec(-1.6, 4.6)
+    a = make_gaussian_packet(1.0, 3.0, 0.15, 200.0, grid)
+    b = make_gaussian_packet(1.0, 1.0, 0.25, -1.0, grid)
+    assert a.reach == (200.0 - 7.0 / 0.3, 200.0 + 7.0 / 0.3)
+    assert b.reach == (-15.0, 13.0)
+    assert superpose([a, b], [1.0, 1.5]).reach == (b.reach[0], a.reach[1])
+    assert make_final_outcome([199.0, 201.0], 2.0, a).backward_state.reach == a.reach
+    built = SpectralState(a.mass, a.momenta, a.amplitudes, a.weights)
+    assert built.reach == (0.0, 0.0)  # measured from x = 0, as before states carried a reach
+    for reach in ((1.0, -1.0), (0.0, np.inf), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="reach must be finite"):
+            SpectralState(a.mass, a.momenta, a.amplitudes, a.weights, reach)
+
+
+def test_range_rule_measures_from_the_reach():
+    # a packet's carrier exp(-i p x_center) moves its sum's phase to |x - x_center| + |t|,
+    # and its mass spreads 7/(2 p_width) about that
+    grid, fine = GridSpec(-1.6, 4.6), GridSpec(-1.6, 4.6, 64)
+    bound = grid.resolvable_range
+    # too loose before: a packet at 200 beside one at 0 gave j0(0, 0) = 0.0986 on 8 panels,
+    # where 64 panels give 0.0820; the superposed state's reach is [-23.3, 223.3]
+    far = superpose([make_gaussian_packet(1.0, 3.0, 0.15, 200.0, grid),
+                     make_gaussian_packet(1.0, 0.0, 0.15, 0.0, grid)], [1.0, 1.5])
+    with pytest.raises(DomainError, match=r"= 223\.333 is beyond resolvable range 83\.9"):
+        current_grid(far, 0.0, 0.0)
+    # too strict before: (0, bound + 1) lies 3 from a packet at bound - 2, and 8 panels
+    # agree there with 64
+    near, ref = (make_gaussian_packet(1.0, 3.0, 0.15, bound - 2.0, g) for g in (grid, fine))
+    peak = np.abs(current_grid(ref, 0.0, np.linspace(bound - 22.0, bound + 18.0, 401))[0]).max()
+    for got, want in zip(current_grid(near, 0.0, bound + 1.0), current_grid(ref, 0.0, bound + 1.0)):
+        assert abs(got - want) <= 1e-13 * peak
 
 
 def test_psi_real_positive_at_origin(rest_packet):
@@ -345,16 +393,17 @@ def test_stencil_matches_array_path(s1_state, t):
 
 def test_stencil_checks_every_point(s1_state):
     outcome = make_final_outcome(np.array([0.0, 1.0]), 2.0, s1_state)
-    t, x = np.array([1.9, 0.0]), np.array([80.0, -1.0])
-    # every point lies within the resolvable range of 83.9 and at or before T = 2,
-    # though the largest |x|, |dx|, |t| and |dt| add up past the range
+    t, x = np.array([1.9, 0.0]), np.array([56.5, -1.0])
+    # every point passes the range rule, |x| + |t| + 23.33 <= 83.9 from s1_state's reach
+    # [-23.33, 23.33], and lies at or before T = 2, though the largest |x|, |dx|, |t| and
+    # |dt| add up past the rule; the nearest, x = 58.5 at t = 1.6, is 0.48 inside it
     inside = _stencil(x, np.array([0.0, 0.05, -0.3]), np.array([0.0, -5.0, 2.0]))
-    assert 80.0 + 5.0 + 1.9 + 0.3 > 83.9
+    assert 56.5 + 5.0 + 1.9 + 0.3 + 7.0 / 0.3 > 83.9
     current_grid(s1_state, t, inside)
     conditional_current_grid(s1_state, outcome, t, inside)
-    # only an offset's point passes the range: x = 80 + 4.5 at t = 1.9
-    with pytest.raises(DomainError, match="beyond resolvable range 83.9"):
-        current_grid(s1_state, t, _stencil(x, np.zeros(2), np.array([0.0, 4.5])))
+    # only an offset's point passes the rule: x = 56.5 + 2.2 at t = 1.9, 0.02 past it
+    with pytest.raises(DomainError, match=r"= 83\.9333 is beyond resolvable range 83\.9"):
+        current_grid(s1_state, t, _stencil(x, np.zeros(2), np.array([0.0, 2.2])))
     # only an offset's point passes T: t = 1.9 + 0.2
     late = _stencil(np.array([0.0, -1.0]), np.array([0.0, 0.2]), np.zeros(2))
     with pytest.raises(CausalOrderError, match="after measurement time 2.0"):

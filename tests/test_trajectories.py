@@ -19,6 +19,7 @@ from kgflow import (
     make_gaussian_packet,
     segment_stats,
     standard_field,
+    superpose,
     trace,
     trace_many,
 )
@@ -553,32 +554,46 @@ def test_tracer_raises_beyond_resolvable_range(s1_state):
         field(Event(0.0, 150.0))
 
 
+def _towards_the_edge(grid):
+    """A field whose packet runs right towards the range rule's edge at t = 0, and that edge.
+
+    A rest packet at x = -20 sets the reach's left end lo = -20 - 7/(2 * 0.15); right of
+    the reach's centre the rule reads x - lo + |t| <= bound, so its edge is x = lo + bound,
+    about 40.6, where |x| + |t| lies far inside the bound.  The moving packet sits 2 short
+    of it; the rest packet's field there, 60 from its centre, is below rounding.
+    """
+    anchor = make_gaussian_packet(1.0, 0.0, 0.15, -20.0, grid)
+    edge = anchor.reach[0] + grid.resolvable_range
+    packet = make_gaussian_packet(1.0, 3.0, 0.15, edge - 2.0, grid)
+    return standard_field(superpose([packet, anchor], [1.0, 1.0])), edge
+
+
 def test_accepted_points_past_the_resolvable_range_raise():
-    # a packet sent towards the bound: the line crosses it at its second step and
+    # a packet sent towards the edge: the line crosses it at its second step and
     # stops before the next jet centre, so no exact table sees the crossing
     grid = GridSpec(-1.6, 4.6)
-    bound = grid.resolvable_range
-    field = standard_field(make_gaussian_packet(1.0, 3.0, 0.15, bound - 2.0, grid))
+    field, edge = _towards_the_edge(grid)
     every = _jet_plan(field.state, 0.02)[0]
-    box, seed = Box(-1.0, 1.0, 0.0, 2.0 * bound), Event(0.0, bound - 0.03)
+    box, seed = Box(-1.0, 1.0, 0.0, 2.0 * edge), Event(0.0, edge - 0.03)
     assert every > 4
     (line,) = trace_many(field, [seed], 0.02, 1, box)
-    assert np.abs(line.points).sum(axis=1).max() <= bound
+    assert (line.points[:, 1] + np.abs(line.points[:, 0])).max() <= edge
     for n_steps in (2, 4):
         with pytest.raises(DomainError, match="resolvable range"):
             trace_many(field, [seed], 0.02, n_steps, box)
 
 
 def test_rk4_stages_past_the_resolvable_range_raise():
-    # a seed 0.008 inside the bound: the first step leaves the box, so no
-    # accepted point passes the bound, but its stages, read off the seed's
-    # jets, reach |x| + |t| up to about bound + 0.02
-    grid = GridSpec(-1.6, 4.6)
-    bound = grid.resolvable_range
-    field = standard_field(make_gaussian_packet(1.0, 3.0, 0.15, bound - 2.0, grid))
-    box = Box(-1.0, 1.0, 0.0, bound - 0.001)
+    # a seed 0.008 inside the edge: the first step leaves the box, so no accepted
+    # point passes the edge, but its stages, read off the seed's jets, reach
+    # x + |t| up to about edge + 0.02.  From a seed 0.04 inside it, with the box
+    # 0.031 inside, the stages stay within it
+    field, edge = _towards_the_edge(GridSpec(-1.6, 4.6))
     with pytest.raises(DomainError, match="resolvable range"):
-        trace_many(field, [Event(0.0, bound - 0.008)], 0.02, 50, box)
+        trace_many(field, [Event(0.0, edge - 0.008)], 0.02, 50, Box(-1.0, 1.0, 0.0, edge - 0.001))
+    box = Box(-1.0, 1.0, 0.0, edge - 0.031)
+    (line,) = trace_many(field, [Event(0.0, edge - 0.04)], 0.02, 50, box)
+    assert line.stop_reason == "box-exit" and len(line.points) == 1
 
 
 def test_stopped_conditional_lines_build_no_state(bundled_states, monkeypatch):

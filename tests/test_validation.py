@@ -179,7 +179,7 @@ def _drawn_scenario(mass, packets, T):
     p_max = max(pc + 9.0 * pw for pc, pw, _, _ in packets)
     q_lo, q_hi, x_lo, x_hi = [], [], [], []
     for pc, pw, xc, _ in packets:
-        spread = 7.0 / (2.0 * pw)  # PacketSpec.spread
+        spread = 7.0 / (2.0 * pw)  # states._packet_reach
         reach = abs(pc) / math.hypot(pc, mass) * T + spread
         q_lo.append(xc - reach)
         q_hi.append(xc + reach)
