@@ -17,13 +17,19 @@ sides:
 - trajectories.csv and trajectories_summary.json of each bundled scenario
   at the trajectories subcommand's defaults (its fan of seeds), of the
   conditional seeds 0,1,3, 0.5,2,6 and -1,0,0 on s1_conditional, one run
-  each, and of perfbench's `portrait` operations 0-2 at seed 11 (the
-  index's argv on both sides);
+  each, of s1_negative_density at --step 1e-6 --max-steps 300 (a tiny
+  step, whose jets span the whole trace), and of perfbench's `portrait`
+  operations 0-2 at seed 11 (the index's argv on both sides);
 - kernel.csv at the kernel subcommand's defaults.
 
-One line per artifact says "same" or "different"; the exit code is 1 on
-any difference or failed command.  The commands run one at a time; the
-1000001-point density peaks at about 120-160 MB of RSS.
+One line per artifact says "same" or "different", and one per command
+gives each side's peak RSS, read by the child itself from VmHWM in
+/proc/self/status after the command ran (MB of 2^20 bytes, as perfbench
+reports it).  VmHWM starts afresh at exec, so the figure is the
+command's own, whatever this script holds; getrusage's ru_maxrss would
+start at this script's peak.  The exit code is 1 on any difference or
+failed command.  The commands run one at a time; the 1000001-point
+density peaks at about 90-120 MB of RSS.
 """
 
 from __future__ import annotations
@@ -71,6 +77,9 @@ def commands(root: Path) -> list:
     runs += [(f"trajectories s1_conditional seed {seed}",
               ["trajectories", "--scenario", "s1_conditional", f"--seed={seed}", *out],
               TRAJECTORIES) for seed in CONDITIONAL_SEEDS]
+    runs.append(("trajectories s1_negative_density step 1e-6",
+                 ["trajectories", "--scenario", "s1_negative_density", "--step", "1e-6",
+                  "--max-steps", "300", *out], TRAJECTORIES))
     data = root / "src" / "kgflow" / "data"
     portrait = run_bench._perfbench(root).WORKLOADS["portrait"](data, False)
     runs += [(f"portrait seed 11 operation {i}", portrait.argv(11, i, Path("DIR")),
@@ -89,16 +98,30 @@ def normalised(name: str, data: bytes) -> bytes:
     return json.dumps(report, indent=2, sort_keys=True).encode()
 
 
-def _run(root: Path, argv, out: Path) -> bool:
-    """kg-flow argv on root's src, writing into out (its DIR); whether it exited 0 or 1."""
+# the child's last line of output: its peak RSS in KiB, the unit of VmHWM
+CHILD = ("import sys; from kgflow.cli import main; code = main(sys.argv[1:]); "
+         "print(next(line.split()[1] for line in open('/proc/self/status') "
+         "if line.startswith('VmHWM:'))); sys.exit(code)")
+
+
+def peak_rss_mb(stdout: str):
+    """The child's peak RSS in MB from its output's last line, or None if it printed none."""
+    lines = stdout.split()
+    return int(lines[-1]) / 1024.0 if lines and lines[-1].isdigit() else None
+
+
+def _run(root: Path, argv, out: Path):
+    """kg-flow argv on root's src, writing into out (its DIR).
+
+    Whether it exited 0 or 1, and its peak RSS in MB (None if it crashed).
+    """
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys; from kgflow.cli import main; sys.exit(main(sys.argv[1:]))"
     argv = [str(out) if a == "DIR" else a for a in argv]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=root, env=env,
                           capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # 1 still writes the report
         print(proc.stderr, end="", file=sys.stderr)
-    return proc.returncode in (0, 1)
+    return proc.returncode in (0, 1), peak_rss_mb(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -113,7 +136,11 @@ def main(argv=None) -> int:
         roots = {side: run_bench._export(tree, tmp / side) for side, tree in trees.items()}
         for k, (label, cmd, artifacts) in enumerate(commands(roots["index"])):
             outs = {side: tmp / "out" / side / str(k) for side in roots}
-            ran = all([_run(roots[side], cmd, outs[side]) for side in roots])
+            runs = {side: _run(roots[side], cmd, outs[side]) for side in roots}
+            ran = all(ok for ok, _ in runs.values())
+            print(f"peak RSS: {label}: " + ", ".join(
+                f"{side} " + ("-" if rss is None else f"{rss:.1f} MB")
+                for side, (_, rss) in runs.items()))
             for name in artifacts:
                 paths = [outs[side] / name for side in roots]
                 same = ran and all(p.exists() for p in paths) and len(

@@ -118,18 +118,25 @@ def _bilinear(own, theirs):
     return tuple(g * own[..., a] - np.conj(theirs[..., a]) * psi for a in range(1, own.shape[-1]))
 
 
-def _bilinear_grid(initial: SpectralState, f, t: float, xs, columns: int = 3):
+def _bilinear_grid(initial: SpectralState, f, t: float, xs, columns: int = 3,
+                   weighted: bool = False):
     """Both-sided combination E^a at every position for every outcome of f; one kernel call.
 
     columns=2 evaluates only psi and d0 of each state and returns (E^0,).
+    weighted reads the products w^a of _weighted_from off each block of
+    the kernel's rows instead, so no complex E^a of the whole call is held.
     """
     back = f.backward_state
     _require_same_grid(initial, back)
     k = initial.momenta.size
     both = [s._psi_dpsi_columns.reshape(k, -1, 3)[..., :columns] for s in (initial, back)]
-    out = _plane_wave_sum(initial, t, xs, np.concatenate(both, 1), f.T)  # (..., 1 + n_q, columns)
-    shape = out.shape[:-2] + back.amplitudes.shape[:-1]
-    return tuple(e.reshape(shape) for e in _bilinear(out[..., :1, :], out[..., 1:, :]))
+
+    def read(rows):  # (..., 1 + n_q, columns)
+        shape = rows.shape[:-2] + back.amplitudes.shape[:-1]
+        e = tuple(b.reshape(shape) for b in _bilinear(rows[..., :1, :], rows[..., 1:, :]))
+        return _weighted_from(f.amplitude_fi, e) if weighted else e
+
+    return _plane_wave_sum(initial, t, xs, np.concatenate(both, 1), f.T, read)
 
 
 def _weighted_from(amplitude_fi, bilinear):
@@ -179,12 +186,12 @@ def conditional_current(
 
 def weighted_integrand_grid(initial: SpectralState, f, t: float, xs):
     """Vectorized pole-free j^a(x|f) |<f|i>|^2; a stacked f adds an outcome axis."""
-    return _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs))
+    return _bilinear_grid(initial, f, t, xs, weighted=True)
 
 
 def weighted_density_grid(initial: SpectralState, f, t: float, xs):
     """The time component of weighted_integrand_grid alone, from psi and d0 columns only."""
-    (w0,) = _weighted_from(f.amplitude_fi, _bilinear_grid(initial, f, t, xs, columns=2))
+    (w0,) = _bilinear_grid(initial, f, t, xs, columns=2, weighted=True)
     return w0
 
 

@@ -52,7 +52,8 @@ def _current_from(psi, d0, d1):
     """j^a = Im(conj(d^a psi) psi), elementwise, as float arrays (float scalars for scalars).
 
     Each product is formed in place and only its imaginary part kept, so no
-    complex product outlives the call.
+    complex product outlives the call; current_grid's read applies it to
+    each block of the kernel's (psi, d0 psi, d1 psi) rows.
     """
 
     def imag_part(d):
@@ -63,9 +64,14 @@ def _current_from(psi, d0, d1):
     return imag_part(d0), imag_part(d1)
 
 
+def _current_rows(rows):
+    """(j0, j1) of the kernel's rows (..., 3) of psi, d0 psi and d1 psi."""
+    return _current_from(rows[..., 0], rows[..., 1], rows[..., 2])
+
+
 def current_grid(state: SpectralState, t: float, xs):
     """Vectorized (j0, j1) over an array of positions or a Lattice at fixed t."""
-    return _current_from(*psi_dpsi_grid(state, t, xs))
+    return psi_dpsi_grid(state, t, xs, _read=_current_rows)
 
 
 def current(state: SpectralState, e: Event) -> FourVector:

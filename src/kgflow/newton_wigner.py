@@ -70,9 +70,14 @@ def nw_density(state: SpectralState, q: float, t: float) -> float:
     return float(np.abs(nw_amplitude(state, q, t)) ** 2)
 
 
+def _squared_modulus(amplitudes):
+    """|a|^2 of the kernel's Newton-Wigner amplitudes, the read of nw_density_grid."""
+    return np.abs(amplitudes) ** 2
+
+
 def nw_density_grid(state: SpectralState, qs, t: float):
     """Vectorized Newton-Wigner density over an array of q values or a Lattice."""
-    return np.abs(nw_amplitude_grid(state, qs, t)) ** 2
+    return _plane_wave_sum(state, t, qs, _nw_matrix(state), read=_squared_modulus)
 
 
 # The kernel adds pieces of up to about 1/2, so its absolute rounding floor is

@@ -13,16 +13,20 @@ Every position-space quantity in the package (psi and its derivatives,
 the Newton-Wigner amplitude, the conditional bilinear for one outcome or
 a whole ensemble) is one call of `_plane_wave_sum`: a phase table at
 time t times a coefficient matrix built from the amplitudes with the
-quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`).  The
-tracer builds exact tables only at its jet centres and reads the points
-between off Taylor jets of psi (trajectories._Jets); the public
-evaluators take positions, never a table.  One factored form of the
-positions keeps the table small: a Lattice, events each shifted by the
-same spacetime offsets (a uniform x-grid, or validation's finite
-differences), builds one table for the events and one for each block of
-offsets, since exp(-i(p0 t - p x)) splits over sums.  A table, and so any
-evaluation, raises DomainError past the resolvable range from the state's
-reach, and a conditioned one CausalOrderError at a time after its T.
+quadrature weights w (2 pi)^-1/2 already in it (`_kernel_matrix`),
+handed to the evaluator's read, an elementwise reduction such as the
+current's Im(conj(d psi) psi).  The tracer builds exact tables only at
+its jet centres and reads the points between off Taylor jets of psi
+(trajectories._Jets); the public evaluators take positions, never a
+table.  One factored form of the positions keeps the table small: a
+Lattice, events each shifted by the same spacetime offsets (a uniform
+x-grid, or validation's finite differences), builds one table for the
+events and one for each block of offsets, since exp(-i(p0 t - p x))
+splits over sums, and each block's rows are read as they are made, so
+a reducing evaluator never holds the complex rows of all its points.  A
+table, and so any evaluation, raises DomainError past the resolvable
+range from the state's reach, and a conditioned one CausalOrderError at
+a time after its T.
 States are immutable after construction; every evaluation is a pure
 function of (state, event) and safe to call from any thread.
 """
@@ -358,67 +362,85 @@ def _table_product(table, matrix):
     return (table @ flat).reshape(table.shape[:-1] + matrix.shape[1:])
 
 
-def _plane_wave_sum(state: SpectralState, t: float, xs, matrix, T: float | None = None):
-    """The evaluation kernel: sum_k <x|p_k> c_k at time t for every x, as table @ matrix.
+def _rows(rows):
+    """The kernel's rows as they are: the read of the evaluators that return amplitudes."""
+    return rows
+
+
+def _plane_wave_sum(state: SpectralState, t: float, xs, matrix, T: float | None = None,
+                    read=_rows):
+    """The evaluation kernel: sum_k <x|p_k> c_k at time t for every x, as table @ matrix, read.
 
     matrix (K, ...) holds mode coefficients on the state's grid with the
-    weights w_k (2 pi)^-1/2 already in them (_kernel_matrix); the result
-    has shape xs.shape + matrix.shape[1:]; t is a scalar or broadcasts
-    against xs (one time per position).  The (n_x, K) phase table is built
-    in place once and multiplies the (K, m) matrix.  A conditioned
-    evaluation passes its measurement time T: an evaluation time after T
-    raises CausalOrderError, checked before the range.
+    weights w_k (2 pi)^-1/2 already in them (_kernel_matrix); its rows,
+    of shape xs.shape + matrix.shape[1:], go to read, an elementwise
+    reduction over the leading axes (an array or a tuple of arrays, as
+    _current_from's floats), and the call returns what read returns; t
+    is a scalar or broadcasts against xs (one time per position).  The
+    (n_x, K) phase table is built in place once and multiplies the (K, m)
+    matrix.  A conditioned evaluation passes its measurement time T: an
+    evaluation time after T raises CausalOrderError, checked before the
+    range.
 
-    xs may instead be a Lattice of events at offsets; the result then has
-    its n points as rows, and _lattice_sum evaluates them.
+    xs may instead be a Lattice of events at offsets: _lattice_sum reads
+    its n points block by block, and read's columns have them as rows.
     """
     _require_resolvable(state, *_points(t, xs), T)
     if not isinstance(xs, Lattice):
-        return _table_product(_phase_table_core(state, t, xs), matrix)
-    flat = matrix.reshape(state.momenta.size, -1)
-    return _lattice_sum(state, t, xs, flat).reshape((xs.n,) + matrix.shape[1:])
+        return read(_table_product(_phase_table_core(state, t, xs), matrix))
+    return _lattice_sum(state, t, xs, matrix, read)
 
 
 # offsets per block of _lattice_sum.  A block's product rounds as one product over
 # all offsets only at some widths: bench/same_outputs.py finds the CLI's artifacts
 # byte-identical at 4, 8, 12, 16, 24, 32 and 64 and not at 19 (OpenBLAS 0.3.31, Haswell)
-_OFFSET_BLOCK = 16
+_OFFSET_BLOCK = 8
 
 
-def _lattice_sum(state: SpectralState, t, lattice: Lattice, flat):
-    """The lattice's n points times flat (K, m), as (n, m) rows, one block of offsets at a time.
+def _lattice_sum(state: SpectralState, t, lattice: Lattice, matrix, read):
+    """read of the lattice's n points times matrix (K, ...), one block of offsets at a time.
 
     exp(-i(p0 (t + dt) - p (x + dx))) splits into an offset table A (n_a, K)
     and an event table B (n_b, K): (n_a + n_b) K exponentials instead of
     n_a n_b K.  A scalar t goes into A and a per-event t into B.  B is
     built once; each block of _OFFSET_BLOCK offsets builds its rows of A.
-    A narrow matrix (m < n_b) then takes the fold: A's rows go into the
-    matrix (K m multiplies per offset) and one product B @ C builds no
+    A narrow matrix (m < n_b columns) then takes the fold: A's rows go into
+    the matrix (K m multiplies per offset) and one product B @ C builds no
     n_b x K table per offset.  A wide one takes the product table A[a] B[b]
     (n_b K complex multiplies per offset) times the matrix.  Each block's
-    rows go straight into the result, so a call holds B, one block and the
-    result.
+    rows, shaped (rows,) + matrix.shape[1:], go to read, and what it
+    returns into columns allocated at the first block, so a call holds B,
+    one block, its read and the columns, never the (n, m) complex rows.
     """
     x, dt, dx, n = lattice
     t_a, t_b = (dt, t) if np.ndim(t) else (t + dt, 0.0)
     b_table = _phase_table_core(state, t_b, x)
-    (k, m), n_b = flat.shape, x.size
+    k, n_b = state.momenta.size, x.size
+    flat = matrix.reshape(k, -1)
+    m = flat.shape[1]
     n_a = -(-n // n_b)  # the offsets that hold one of the n points
-    out = np.empty((n, m), dtype=complex)
+    columns = None
     for lo in range(0, max(n_a - 1, 1), _OFFSET_BLOCK):
         # a last block of one offset joins the one before, where a lone column or row
         # would take BLAS's matrix-vector product and round unlike the whole lattice
         hi = n_a if lo + _OFFSET_BLOCK >= n_a - 1 else lo + _OFFSET_BLOCK
         rows = slice(lo * n_b, min(hi * n_b, n))
+        size = rows.stop - rows.start
         a_table = _phase_table_core(state, t_a[lo:hi], dx[lo:hi])
         if m >= n_b:
             product = (a_table[:, None, :] * b_table[None, :, :]).reshape(-1, k)
-            np.matmul(product[: rows.stop - rows.start], flat, out=out[rows])
+            block = product[:size] @ flat
         else:
             folded = np.multiply(a_table.T[:, :, None], flat[:, None, :], order="C")  # (K, a, m)
             block = (b_table @ folded.reshape(k, -1)).reshape(n_b, -1, m)
-            out[rows] = block.transpose(1, 0, 2).reshape(-1, m)[: rows.stop - rows.start]
-    return out
+            block = block.transpose(1, 0, 2).reshape(-1, m)[:size]
+        got = read(block.reshape((size,) + matrix.shape[1:]))
+        parts = got if isinstance(got, tuple) else (got,)
+        if columns is None:
+            columns = [np.empty((n,) + c.shape[1:], dtype=c.dtype) for c in parts]
+        for column, c in zip(columns, parts):
+            column[rows] = c
+    return tuple(columns) if isinstance(got, tuple) else columns[0]
 
 
 def uniform_lattice(lo: float, hi: float, n: int) -> Lattice:
@@ -455,10 +477,16 @@ def psi_grid(state: SpectralState, t: float, xs):
     return _plane_wave_sum(state, t, xs, np.ascontiguousarray(state._psi_dpsi_columns[..., 0]))
 
 
-def psi_dpsi_grid(state: SpectralState, t: float, xs):
+def psi_dpsi_grid(state: SpectralState, t: float, xs, *, _read=None):
     """Vectorized (psi, d0 psi, d1 psi) over an array of positions.
 
     A stacked state's rows come out on a trailing axis of each result.
+    _read, current_grid's alone, is a read of the kernel's (..., 3) rows
+    (see _plane_wave_sum), and the call then returns what it returns: the
+    current passes through here because perfbench counts the kernel's
+    point-modes by wrapping this function (ROADMAP item 3).
     """
+    if _read is not None:
+        return _plane_wave_sum(state, t, xs, state._psi_dpsi_columns, read=_read)
     out = _plane_wave_sum(state, t, xs, state._psi_dpsi_columns)
     return out[..., 0], out[..., 1], out[..., 2]

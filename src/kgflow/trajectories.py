@@ -154,7 +154,8 @@ def conditional_field(
 
     def evaluate(t, x):
         t, x = np.broadcast_arrays(np.asarray(t, float), np.asarray(x, float))
-        j = _JetStages(field, math.inf, t.size).accept(np.column_stack([t.ravel(), x.ravel()]), 0)
+        points = np.column_stack([t.ravel(), x.ravel()])
+        j = _JetStages(field, math.inf, 0, t.size).accept(points, 0)
         return tuple(c.reshape(t.shape)[()] for c in j.T)
 
     field = TableField(initial, evaluate, np.stack(np.broadcast_arrays(own, theirs)), read)
@@ -174,16 +175,21 @@ def _require_row_count(coeffs, n: int):
 JET_RADIUS = 0.8
 
 
-def _jet_plan(state: SpectralState, step: float):
+def _jet_plan(state: SpectralState, step: float, max_steps: int):
     """(m, degrees): accepted steps from one jet centre to the next, and the degree per span.
 
     theta_h = step max_k |(p_k, p0_k)| bounds |p dx - p0 dt| over a step
     (Cauchy-Schwarz).  Evaluations lie within m = floor(JET_RADIUS / theta_h)
     steps of their centre; s steps from it, the jets are read to degrees[s],
     the smallest N with (s theta_h)^(N+1) / (N+1)! < 1e-17.  At m = 0 every
-    evaluation is its own centre."""
+    evaluation is its own centre.  A trace of max_steps steps reads no span
+    past max_steps + 1, so m stops there: a shorter trace's plan is a prefix
+    of a longer one's, and a tiny step costs no more than its steps."""
     theta = step * np.hypot(state.momenta, state.energies).max()
-    every, degrees = int(JET_RADIUS // theta), [0]  # at s = 0, even for an infinite step
+    # JET_RADIUS / theta overflows at a subnormal step, so it is taken only below max_steps + 2
+    short = theta * (max_steps + 2) > JET_RADIUS
+    every = min(int(JET_RADIUS // theta), max_steps + 1) if short else max_steps + 1
+    degrees = [0]  # at s = 0, even for an infinite step
     for reach in theta * np.arange(1, every + 1):
         degree, term = 0, reach  # term = reach^(N+1) / (N+1)!
         while term >= 1e-17:
@@ -247,9 +253,9 @@ class _JetStages:
     and RK4 stages up to the next centre are read (m from _jet_plan).
     """
 
-    def __init__(self, field: TableField, step: float, n: int):
+    def __init__(self, field: TableField, step: float, max_steps: int, n: int):
         self.state = field.state
-        self.every, self.degrees = _jet_plan(self.state, step)
+        self.every, self.degrees = _jet_plan(self.state, step, max_steps)
         self.jets = _Jets(self.state, self.degrees[-1])
         self.coeffs, self.read = field.coeffs, field.read
         _require_row_count(self.coeffs, n)
@@ -352,7 +358,7 @@ def trace_many(
         raise ValueError(f"seed {Event(*pos[np.argmin(inside)].tolist())} lies outside the box")
 
     n_seeds = len(pos)
-    stages = (_JetStages(field, step, n_seeds) if isinstance(field, TableField)
+    stages = (_JetStages(field, step, max_steps, n_seeds) if isinstance(field, TableField)
               else _PlainStages(field))
 
     def direction(j, ref):

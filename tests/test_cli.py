@@ -216,6 +216,18 @@ def test_unallocatable_input_is_an_input_error(tmp_path, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("step", ["1e-7", "1e-300", "1e-310"])
+def test_tiny_step_plans_only_the_steps_it_runs(tmp_path, step):
+    # the jet plan stops at max_steps + 1 spans: a step of 1e-7 no longer plans
+    # 10^6 spans, 1e-300 no longer asks numpy for too large an array and 1e-310
+    # no longer overflows int(JET_RADIUS // theta_h)
+    out = tmp_path / "out"
+    assert main(["trajectories", "--scenario", "single_rest", "--seed=0,1", f"--step={step}",
+                 "--max-steps", "2", "--out", str(out)]) == 0
+    rows = read_csv(out / "trajectories.csv")
+    assert len(rows) == 3 and float(rows[-1]["s"]) == pytest.approx(2 * float(step), rel=1e-9)
+
+
 def test_trajectories_seed_outside_box(tmp_path):
     rc = main([
         "trajectories", "--scenario", "s1_negative_density",

@@ -118,3 +118,18 @@ def test_same_outputs_drops_only_the_seconds_of_a_report():
     assert b"seconds" not in normalised(name, report(0.5, 1e-13))
     # any other artifact is compared as written
     assert normalised("density.csv", b"x,j0\n0,1\n") == b"x,j0\n0,1\n"
+
+
+def test_same_outputs_reports_each_sides_peak_rss(tmp_path):
+    same_outputs = _load("same_outputs")
+    # VmHWM comes in KiB, the figure in MB of 2^20 bytes, as perfbench's
+    assert same_outputs.peak_rss_mb("40960\n") == 40.0
+    assert same_outputs.peak_rss_mb("") is None
+    # a command's child prints its own peak RSS after the command has run
+    root, out = BENCH.parent, tmp_path / "out"
+    argv = ["trajectories", "--scenario", "single_rest", "--seed=0,1", "--max-steps", "2",
+            "--out", "DIR"]
+    ok, rss = same_outputs._run(root, argv, out)
+    assert ok and 10.0 < rss < 1000.0 and (out / "trajectories.csv").exists()
+    labels = [label for label, _, _ in same_outputs.commands(root)]
+    assert "trajectories s1_negative_density step 1e-6" in labels

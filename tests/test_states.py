@@ -23,9 +23,11 @@ from kgflow import (
     superpose,
 )
 from kgflow._quad import gauss_panels
-from kgflow.conditional import conditional_current_grid, weighted_integrand_grid
-from kgflow.current import current_grid
-from kgflow.newton_wigner import nw_density_grid
+from kgflow.conditional import (
+    _bilinear_grid, _weighted_from, conditional_current_grid, weighted_integrand_grid,
+)
+from kgflow.current import _current_from, current_grid
+from kgflow.newton_wigner import nw_amplitude_grid, nw_density_grid
 from kgflow.scenarios import build_state
 from kgflow.states import (
     _OFFSET_BLOCK,
@@ -471,21 +473,57 @@ def test_lattice_evaluates_its_points(s1_state, s1_outcomes, m, drawn):
         for got, ref in zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]:
             assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
+    # each evaluator's read, applied block by block, gives exactly its reduction
+    # of the whole complex result: the current (3 columns), the Newton-Wigner
+    # density (1) and the weighted integrand (9, so the product table)
+    rows = lambda: _plane_wave_sum(s1_state, t, lattice, s1_state._psi_dpsi_columns)  # noqa: E731
+    bilinear = lambda: _bilinear_grid(s1_state, s1_outcomes, t, lattice)  # noqa: E731
+    reads = [
+        (lambda: current_grid(s1_state, t, lattice),
+         lambda: _current_from(*np.moveaxis(rows(), -1, 0))),
+        (lambda: nw_density_grid(s1_state, lattice, t),
+         lambda: np.abs(nw_amplitude_grid(s1_state, lattice, t)) ** 2),
+        (lambda: weighted_integrand_grid(s1_state, s1_outcomes, t, lattice),
+         lambda: _weighted_from(s1_outcomes.amplitude_fi, bilinear())),
+    ]
+    for read, whole in reads:
+        got, ref = _raised(read), _raised(whole)
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref
+            continue
+        for got, ref in zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]:
+            assert got.dtype == float and np.array_equal(got, ref)
+
+
+def _traced_peak(evaluate):
+    """Peak traced memory of evaluate(), in bytes."""
+    tracemalloc.start()
+    try:
+        evaluate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_lattice_memory_bounded_by_block(s1_scenario):
-    # the kernel holds the event table, one block of offsets and the (n, 3) result, and
-    # the currents keep no complex product: whole-lattice temporaries took 28.4 MB here
+    # the kernel holds the event table, one block of offsets and its read's float
+    # columns, never a whole-lattice temporary: whole-lattice temporaries took 28.4 MB here
     state = build_state(s1_scenario)
     xs = uniform_lattice(-14.0, 14.0, 200001)
     current_grid(state, 0.0, uniform_lattice(-14.0, 14.0, 101))  # fill the state's caches
-    tracemalloc.start()
-    try:
-        current_grid(state, 0.0, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 18e6
+    assert _traced_peak(lambda: current_grid(state, 0.0, xs)) < 18e6
+
+
+def test_lattice_reads_hold_no_complex_result(s1_scenario):
+    # the currents are read off each block, so no (n, 3) complex result is held:
+    # with it the peak was 16.0 MB, without it 6.4 MB, set by the range check's
+    # four flat n-point arrays, as the Newton-Wigner density's is
+    state = build_state(s1_scenario)
+    xs = uniform_lattice(-14.0, 14.0, 200001)
+    small = uniform_lattice(-14.0, 14.0, 101)
+    current_grid(state, 0.0, small), nw_density_grid(state, small, 0.0)  # fill the caches
+    assert _traced_peak(lambda: current_grid(state, 0.0, xs)) < 8e6
+    assert _traced_peak(lambda: nw_density_grid(state, xs, 0.0)) < 8e6
 
 
 def test_lattice_kernel_gauss_panels(s1_state):

@@ -374,13 +374,14 @@ def test_tables_rotate_between_exact_anchors(bundled_states, monkeypatch):
     seeds = [Event(-1.0, -2.0), Event(0.5, 0.3), Event(2.0, 4.0)]
     built = _counting_table_builders(monkeypatch)
     for step, n_steps in ((0.02, 140), (0.05, 60), (0.1, 30), (0.4, 8)):
-        every, _ = _jet_plan(state, step)
+        every, _ = _jet_plan(state, step, n_steps)
         built.clear()
         lines = trace_many(field, seeds, step, n_steps, WIDE)
         assert {line.stop_reason for line in lines} == {"max-steps"}
         tables = 1 + n_steps // every if every else 1 + 4 * n_steps
         assert built == [len(seeds)] * tables
-    assert _jet_plan(state, 0.4)[0] == 0 < _jet_plan(state, 0.1)[0] < _jet_plan(state, 0.02)[0]
+    assert _jet_plan(state, 0.4, 8)[0] == 0 < _jet_plan(state, 0.1, 30)[0] < _jet_plan(
+        state, 0.02, 140)[0]
 
 
 def test_stopped_lines_stay_in_the_batch_as_frozen_rows(bundled_states, monkeypatch):
@@ -412,7 +413,7 @@ def test_stopped_lines_stay_in_the_batch_as_frozen_rows(bundled_states, monkeypa
         # the batch keeps one row per seed until its last line stops: each jet
         # centre, the seed and every m-th accepted point after it, builds a
         # table of every seed's row, a stopped line's frozen at its last point
-        every = _jet_plan(field.state, 0.02)[0]
+        every = _jet_plan(field.state, 0.02, n_steps)[0]
         assert every > 1
         assert built == [len(seeds)] * (1 + steps.max() // every)
         for one, seed, line in zip(alone, seeds, lines):
@@ -457,6 +458,21 @@ def test_chained_tables_follow_the_exact_node_line(node_trajectory, s1_field, s1
     assert np.abs(node_trajectory.points - exact.points).max() <= 10 * spread
 
 
+def test_jet_plan_stops_at_the_trace_length(bundled_states):
+    # a trace of max_steps steps reads spans up to max_steps + 1: a shorter
+    # trace's plan is a prefix of a longer one's, and a tiny step plans no more
+    state = bundled_states["s1_negative_density"]
+    assert _jet_plan(state, 0.02, 4000) == (6, [0, 10, 12, 14, 15, 16, 17])
+    for step in (1e-6, 0.02, 0.1):
+        every, degrees = _jet_plan(state, step, 4000)
+        for max_steps in (1, 2, 5, 300):
+            short, head = _jet_plan(state, step, max_steps)
+            assert short == min(every, max_steps + 1)
+            assert head == degrees[: short + 1]
+    # at a subnormal step JET_RADIUS / theta_h would overflow: no warning, no error
+    assert _jet_plan(state, 1e-310, 2) == (3, [0, 0, 0, 0])
+
+
 DRIFTING_GRID = GridSpec(-5.5, 6.5, 12, 32)  # criterion 08's RK4-order packet
 
 
@@ -470,7 +486,7 @@ def test_jets_match_phase_table_over_the_radius(bundled_states, name, step):
         state = make_gaussian_packet(1.0, 0.6, 0.5, 0.0, DRIFTING_GRID)
     else:
         state = bundled_states[name]
-    every, degrees = _jet_plan(state, step)
+    every, degrees = _jet_plan(state, step, 4000)  # the CLI's default max_steps
     rate = np.hypot(state.momenta, state.energies)
     assert len(degrees) == every + 1 and every * step * rate.max() <= JET_RADIUS
     if not every:  # one step passes the radius: every evaluation is its own centre
@@ -573,7 +589,7 @@ def test_accepted_points_past_the_resolvable_range_raise():
     # stops before the next jet centre, so no exact table sees the crossing
     grid = GridSpec(-1.6, 4.6)
     field, edge = _towards_the_edge(grid)
-    every = _jet_plan(field.state, 0.02)[0]
+    every = _jet_plan(field.state, 0.02, 4)[0]
     box, seed = Box(-1.0, 1.0, 0.0, 2.0 * edge), Event(0.0, edge - 0.03)
     assert every > 4
     (line,) = trace_many(field, [seed], 0.02, 1, box)
